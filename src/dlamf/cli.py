@@ -247,8 +247,8 @@ def cmd_threshold(args, argv):
     cfg = TrialConfig(scenario=scen, detector=specs, trials=args.trials,
                       master_seed=args.seed, pfa_pre=args.pfa,
                       workers=args.workers, opt_config=_opt_config(args))
-    taus = harness.calibrate_threshold(cfg)
     run = _Run(argv, args.out, doc)
+    taus = harness.calibrate_threshold(cfg)
     _write_csv(run.path("thresholds.csv"),
                ("detector", "kind", "lambda", "tau", "achieved_pfa",
                 "pfa_ci_lo", "pfa_ci_hi", "tau_ci_lo", "tau_ci_hi", "trials"),
@@ -266,13 +266,13 @@ def cmd_pd_sweep(args, argv):
     cal = TrialConfig(scenario=scen, detector=specs,
                       trials=args.threshold_trials, master_seed=args.seed,
                       pfa_pre=args.pfa, workers=args.workers, opt_config=ocfg)
-    taus = harness.calibrate_threshold(cal)
     pd_cfg = TrialConfig(scenario=scen, detector=specs, trials=args.trials,
                          master_seed=args.seed, pfa_pre=args.pfa,
                          workers=args.workers, opt_config=ocfg)
+    run = _Run(argv, args.out, doc, notes={"target": target})
+    taus = harness.calibrate_threshold(cal)
     curves = harness.pd_vs_scnr_sweep(
         pd_cfg, {sp.label: taus[sp.label].tau for sp in specs}, grid, target)
-    run = _Run(argv, args.out, doc, notes={"target": target})
     for sp in specs:
         _write_curve(run.path(f"pd_{_slug(sp.label)}.csv"), curves[sp.label])
     run.finish({"seed": args.seed, "pfa": args.pfa, "trials": args.trials,
@@ -284,11 +284,11 @@ def cmd_pd_sweep(args, argv):
 def cmd_loss_table(args, argv):
     scen, _, doc = _load_scenario(args.config)
     specs = _parse_detectors(args.detector, args.lam)
+    run = _Run(argv, args.out, doc, notes={"pd_target": args.pd})
     rows = harness.detection_loss_table(
         scen, specs, pfa_pre=args.pfa, threshold_trials=args.threshold_trials,
         pd_trials=args.trials, master_seed=args.seed, pd_target=args.pd,
         workers=args.workers, opt_config=_opt_config(args))
-    run = _Run(argv, args.out, doc, notes={"pd_target": args.pd})
     _write_csv(run.path("loss_table.csv"),
                ("detector", "kind", "target", "tau", "scnr_db", "loss_db"),
                [(r["detector"], r["kind"], r["target"], r["tau"],

@@ -99,11 +99,16 @@ def _as_spectrum(M, label):
     return HermitianSpectrum.from_matrix(M, label=label)
 
 
-def _guard_invertible(spec):
-    # threshold sits above the eigenvalue clamp floor (1e-12 relative), so
-    # a rank-deficient SCM that was clamped on construction still trips it
-    l = spec.eigenvalues
-    if l[0] <= 1e-10 * l[-1]:
+def guard_invertible(l_min, l_max):
+    """Raise NumericalError where l_min <= 1e-10 * l_max.
+
+    l_min and l_max are the extreme eigenvalues of an unloaded sample
+    covariance, or an upper bound on the smallest and a lower bound on the
+    largest; arrays are checked row by row, and one singular row fails all.
+    The threshold sits above the eigenvalue clamp floor (1e-12 relative),
+    so a rank-deficient SCM that was clamped on construction still trips it.
+    """
+    if np.any(np.asarray(l_min) <= 1e-10 * np.asarray(l_max)):
         raise NumericalError("sample covariance is numerically singular; "
                              "need K >= N secondary snapshots")
 
@@ -115,7 +120,7 @@ def loaded_forms(scm, s, y0, lam):
     if lam < 0:
         raise ConfigError("loading factor must be >= 0")
     if lam == 0.0:
-        _guard_invertible(scm)
+        guard_invertible(scm.eigenvalues[0], scm.eigenvalues[-1])
     w = scm.weights(_entries(s))
     z = scm.weights(np.asarray(y0))
     den = scm.eigenvalues + lam

@@ -14,6 +14,26 @@ SCM alone). One simulation pass therefore serves every SCNR on the sweep,
 and SCNR-at-Pd bisection re-thresholds cached coefficients instead of
 re-simulating. Swerling 0 and Swerling I share the same draws through a
 frozen unit amplitude per trial.
+
+Each run factors the sample covariance S one of two ways, chosen from the
+detector set alone:
+
+- spectral route, when the set holds a kind that picks its loading per
+  trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): one batched eigh of S, and
+  every fixed loading in the set is read off that spectrum too;
+- Cholesky route, for every other set: one bordered Cholesky factorization
+  of S + lam I per distinct fixed loading (lam = 0 for scm-amf and the
+  dl-scm-beta normalizer), shared by all kinds at that loading, with
+  cfar-dl-amf's mu0_hat taken from the same factor.
+
+persym-amf factors the persymmetrized SCM by Cholesky in both routes.
+Unloaded forms raise NumericalError on a numerically singular SCM, as the
+scalar detectors do.
+
+Reproducibility: for a given (seed, stream, trial, detector set) every
+statistic is bit-identical for every worker count and chunk size. Two
+detector sets that take different routes may differ in the last bits of a
+fixed-loading kind's statistic.
 """
 
 from __future__ import annotations
@@ -25,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators, rmt
+from . import detectors, estimators, rmt
 from .detectors import (CFAR_DL_AMF, CFAR_DL_SCMF, CFAR_EL_AMF, DL_AMF,
                         DL_RAW, DL_SCM_BETA, EL_AMF, NP, OPT_CFAR_DL_AMF,
                         OPT_CFAR_DL_SCMF, PERSYM_AMF, SCM_AMF, DetectorSpec)
@@ -35,6 +55,8 @@ from .results import Curve, Histogram
 from .scenario import philox_key
 
 DEFAULT_CHUNK = 4096
+# stands in for +inf on the border diagonal of _bordered
+_BORDER = 1e200
 _SQRT2 = np.sqrt(2)
 _EL_FTOL = estimators._EL_FTOL
 
@@ -126,6 +148,10 @@ class _BatchPlan:
         self.need_el = bool(kinds & {EL_AMF, CFAR_EL_AMF})
         self.need_opt = OPT_CFAR_DL_AMF in kinds
         self.need_persym = PERSYM_AMF in kinds
+        # factorization route: eigh only when a loading is chosen per trial
+        self.spectral = self.need_el or self.need_opt
+        # fixed loadings whose mu0_hat normalizer is needed
+        self.mu0_lams = {sp.lam for sp in specs if sp.kind == CFAR_DL_AMF}
         self.log_zeta = (estimators.log_zeta_median(self.N, self.K)
                          if self.need_el else None)
 
@@ -296,6 +322,61 @@ def _opt_lambda_rows(l, w2, plan):
     return np.where(flat, 0.0, xs)
 
 
+def _bordered(M, lam, s, y0):
+    """[[M + lam I, X], [X^H, D]] with X = [s, y0] and D = _BORDER I.
+
+    The border is written below the diagonal only; Cholesky reads no more.
+    """
+    B, N, _ = M.shape
+    A = np.zeros((B, N + 2, N + 2), dtype=complex)
+    A[:, :N, :N] = M
+    diag = np.arange(N)
+    A[:, diag, diag] += lam
+    A[:, N, :N] = np.conj(s)
+    A[:, N + 1, :N] = np.conj(y0)
+    A[:, N, N] = A[:, N + 1, N + 1] = _BORDER
+    return A
+
+
+def _cholesky_forms(M, lam, plan, y0, with_mu0):
+    """(alpha, beta, mu0h) at loading lam from one Cholesky factorization.
+
+    Factors the bordered matrix of _bordered: its factor is [[L, 0], [W, *]]
+    with L L^H = M + lam I and W^H = L^{-1} X, so the forward substitutions
+    u = L^{-1} s and v = L^{-1} y0 come out of the same LAPACK call. Only
+    the lower triangle is read, so M need not be symmetrized. D = _BORDER
+    keeps the trailing 2x2 Schur complement positive; it does not touch L
+    or W. mu0h needs tr((M + lam I)^{-1}) = ||L^{-1}||_F^2 and
+    s^H (M + lam I)^{-1} M (M + lam I)^{-1} s = beta - lam ||u^H L^{-1}||^2.
+    """
+    N = M.shape[1]
+    try:
+        F = np.linalg.cholesky(_bordered(M, lam, plan.s, y0))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"Cholesky factorization failed at loading {lam:g}: "
+            "sample covariance is not positive definite") from exc
+    L = F[:, :N, :N]
+    if lam == 0.0:
+        # lambda_min <= min L_ii^2 and lambda_max >= max M_ii
+        detectors.guard_invertible(
+            np.diagonal(L, axis1=1, axis2=2).real.min(1) ** 2,
+            np.diagonal(M, axis1=1, axis2=2).real.max(1))
+    uh = F[:, N, :N]
+    alpha = (uh * np.conj(F[:, N + 1, :N])).sum(1)
+    beta = (np.abs(uh) ** 2).sum(1)
+    mu0h = None
+    if with_mu0:
+        Linv = np.linalg.inv(L)
+        xh = np.matmul(uh[:, None, :], Linv)[:, 0]
+        num = beta - lam * (np.abs(xh) ** 2).sum(1)
+        tr = (np.einsum("bij,bij->b", Linv.real, Linv.real)
+              + np.einsum("bij,bij->b", Linv.imag, Linv.imag))
+        d1 = plan.base + lam * tr / plan.K
+        mu0h = num / d1 ** 2
+    return alpha, beta, mu0h
+
+
 def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
     """Evaluate all planned detectors on trials [lo, hi).
 
@@ -307,10 +388,12 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
     want_amp = mode == "coeff"
     y0, Ysec, amp_c = _generate(plan, master_seed, stream, lo, hi, want_amp)
     B = y0.shape[0]
-    N, K = plan.N, plan.K
+    K = plan.K
 
     if plan.need_scm:
         S = np.matmul(Ysec, Ysec.conj().transpose(0, 2, 1)) / K
+
+    if plan.spectral:
         S = 0.5 * (S + S.conj().transpose(0, 2, 1))
         l, V = np.linalg.eigh(S)
         Vh = V.conj().transpose(0, 2, 1)
@@ -319,32 +402,32 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
         w2 = np.abs(w) ** 2
         wz = np.conj(w) * z0
 
+        def row_forms(lam_rows, with_mu0):
+            unloaded = lam_rows == 0.0
+            if unloaded.any():
+                detectors.guard_invertible(l[unloaded, 0], l[unloaded, -1])
+            den = l + lam_rows[:, None]
+            alpha = (wz / den).sum(1)
+            beta = (w2 / den).sum(1)
+            mu0h = None
+            if with_mu0:
+                num = (w2 * l / den ** 2).sum(1)
+                d1 = plan.base + lam_rows * (1.0 / den).sum(1) / K
+                mu0h = num / d1 ** 2
+            return alpha, beta, mu0h
+
     fixed_cache = {}
 
-    def fixed_forms(lam, with_mu0=False):
+    def fixed_forms(lam):
         got = fixed_cache.get(lam)
         if got is None:
-            den = l + lam
-            got = {"alpha": (wz / den).sum(1), "beta": (w2 / den).sum(1),
-                   "den": den}
+            with_mu0 = lam in plan.mu0_lams
+            if plan.spectral:
+                got = row_forms(np.full(B, lam), with_mu0)
+            else:
+                got = _cholesky_forms(S, lam, plan, y0, with_mu0)
             fixed_cache[lam] = got
-        if with_mu0 and "mu0h" not in got:
-            den = got["den"]
-            num = (w2 * l / den ** 2).sum(1)
-            d1 = plan.base + lam * (1.0 / den).sum(1) / K
-            got["mu0h"] = num / d1 ** 2
         return got
-
-    def row_forms(lam_rows, with_mu0):
-        den = l + lam_rows[:, None]
-        alpha = (wz / den).sum(1)
-        beta = (w2 / den).sum(1)
-        mu0h = None
-        if with_mu0:
-            num = (w2 * l / den ** 2).sum(1)
-            d1 = plan.base + lam_rows * (1.0 / den).sum(1) / K
-            mu0h = num / d1 ** 2
-        return alpha, beta, mu0h
 
     el_forms = None
     if plan.need_el:
@@ -356,14 +439,10 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
         lam_star = _opt_lambda_rows(l, w2, plan)
         opt_forms = row_forms(lam_star, with_mu0=True)
     if plan.need_persym:
-        Sp = 0.5 * (S + np.conj(S)[:, ::-1, ::-1])
-        Sp = 0.5 * (Sp + Sp.conj().transpose(0, 2, 1))
-        lp, Vp = np.linalg.eigh(Sp)
-        Vph = Vp.conj().transpose(0, 2, 1)
-        wp = np.matmul(Vph, plan.s)
-        zp = np.matmul(Vph, y0[..., None])[..., 0]
-        alpha_p = (np.conj(wp) * zp / lp).sum(1)
-        beta_p = (np.abs(wp) ** 2 / lp).sum(1)
+        # J S^T J reads the lower triangle of S where J conj(S) J reads the
+        # upper one; the two agree on a Hermitian S
+        Sp = 0.5 * (S + S.transpose(0, 2, 1)[:, ::-1, ::-1])
+        persym_forms = _cholesky_forms(Sp, 0.0, plan, y0, False)
 
     out = {}
     for sp in plan.specs:
@@ -373,36 +452,32 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
             beta = np.full(B, plan.q)
             norm = np.full(B, plan.q)
         elif kind == SCM_AMF:
-            f = fixed_forms(0.0)
-            alpha, beta, norm = f["alpha"], f["beta"], f["beta"]
+            alpha, beta, _ = fixed_forms(0.0)
+            norm = beta
         elif kind == DL_AMF:
-            f = fixed_forms(sp.lam)
-            alpha, beta, norm = f["alpha"], f["beta"], f["beta"]
+            alpha, beta, _ = fixed_forms(sp.lam)
+            norm = beta
         elif kind == DL_SCM_BETA:
-            f = fixed_forms(sp.lam)
-            alpha, beta = f["alpha"], f["beta"]
-            norm = fixed_forms(0.0)["beta"]
+            alpha, beta, _ = fixed_forms(sp.lam)
+            norm = fixed_forms(0.0)[1]
         elif kind == DL_RAW:
-            f = fixed_forms(sp.lam)
-            alpha, beta = f["alpha"], f["beta"]
+            alpha, beta, _ = fixed_forms(sp.lam)
             norm = np.ones(B)
         elif kind == CFAR_DL_SCMF:
-            f = fixed_forms(sp.lam)
-            alpha, beta = f["alpha"], f["beta"]
+            alpha, beta, _ = fixed_forms(sp.lam)
             norm = np.full(B, plan.oracle_mu0[sp.lam])
         elif kind == CFAR_DL_AMF:
-            f = fixed_forms(sp.lam, with_mu0=True)
-            alpha, beta, norm = f["alpha"], f["beta"], f["mu0h"]
+            alpha, beta, norm = fixed_forms(sp.lam)
         elif kind == EL_AMF:
             alpha, beta, _ = el_forms
             norm = beta
         elif kind == CFAR_EL_AMF:
             alpha, beta, norm = el_forms
         elif kind == PERSYM_AMF:
-            alpha, beta, norm = alpha_p, beta_p, beta_p
+            alpha, beta, _ = persym_forms
+            norm = beta
         elif kind == OPT_CFAR_DL_SCMF:
-            f = fixed_forms(plan.opt_lambda_star)
-            alpha, beta = f["alpha"], f["beta"]
+            alpha, beta, _ = fixed_forms(plan.opt_lambda_star)
             norm = np.full(B, plan.oracle_mu0[plan.opt_lambda_star])
         elif kind == OPT_CFAR_DL_AMF:
             alpha, beta, norm = opt_forms
@@ -468,6 +543,11 @@ def threshold_from_stats(stats, pfa):
     n = stats.shape[0]
     if not 0.0 < pfa < 1.0:
         raise ConfigError(f"pfa must lie in (0, 1), got {pfa}")
+    bad = int(np.count_nonzero(~np.isfinite(stats)))
+    if bad:
+        raise NumericalError(
+            f"{bad} of {n} statistics are NaN or infinite; a threshold "
+            "set on them would shift the achieved Pfa")
     rank = math.ceil(n * (1.0 - pfa))
     if rank < 1 or rank > n:
         raise ConfigError(

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,36 @@ class TestLossTable:
                 assert float(r[5]) == 0.0
             else:
                 assert float(r[5]) > 1.0
+
+
+class TestManifestTiming:
+    SLEEP = 0.3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv, call", [
+        (["threshold", "--detector", "np", "--trials", "200"],
+         "calibrate_threshold"),
+        (["pd-sweep", "--detector", "np", "--scnr-db", "0:5:5",
+          "--threshold-trials", "200", "--trials", "50"],
+         "pd_vs_scnr_sweep"),
+        (["loss-table", "--detector", "scm-amf", "--pfa", "1e-1",
+          "--threshold-trials", "200", "--trials", "100"],
+         "detection_loss_table"),
+    ])
+    def test_elapsed_covers_the_computation(self, tmp_path, monkeypatch,
+                                            argv, call):
+        real = getattr(cli.harness, call)
+
+        def slow(*args, **kwargs):
+            time.sleep(self.SLEEP)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.harness, call, slow)
+        out = tmp_path / "run"
+        rc = cli.main(argv + ["--config", TOEPLITZ, "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["elapsed_s"] >= self.SLEEP
 
 
 class TestErrorsAndUsage:

@@ -11,8 +11,8 @@ from dlamf.harness import (TrialConfig, _BatchPlan, _eval_chunk, _generate,
                            empirical_pdf, estimate_pd, h0_statistics,
                            pd_evaluator, pd_vs_scnr_sweep, scnr_at_pd,
                            threshold_from_stats, wilson_ci)
-from dlamf.scenario import (Swerling0, Swerling1, sample_dataset, scm,
-                            trial_rng)
+from dlamf.scenario import (LowRankClutter, Scenario, Swerling0, Swerling1,
+                            sample_dataset, scm, trial_rng)
 
 from conftest import toeplitz_scenario
 
@@ -108,18 +108,41 @@ class TestGeneratorLayout:
         assert not np.allclose(y0a[0], y0a[1])
 
 
+def _fixed_specs():
+    """Fixed-loading kinds only: the set takes the Cholesky route."""
+    return ([DetectorSpec(k) for k in ("np", "scm-amf", "persym-amf",
+                                       "opt-cfar-dl-scmf")]
+            + [DetectorSpec(k, lam=lam) for lam in (1.5, 10.0)
+               for k in ("dl-amf", "dl-scm-beta", "dl-raw", "cfar-dl-scmf",
+                         "cfar-dl-amf")])
+
+
+def _singular_scenario():
+    # rank-3 clutter over noise 1e-14: the SCM's eigenvalue spread is ~1e15
+    return Scenario(N=24, K=48,
+                    clutter=LowRankClutter((0.0, 10.0, 40.0), (1.0, 1.0, 1.0)),
+                    noise_power=1e-14, steering_deg=20.0)
+
+
 class TestBatchScalarAgreement:
     def test_all_kinds(self, scen_n24_k48):
-        specs = _all_specs()
-        plan = _BatchPlan(scen_n24_k48, specs)
+        self._agree(scen_n24_k48, _all_specs(), spectral=True)
+
+    def test_fixed_kinds(self, scen_n24_k48):
+        self._agree(scen_n24_k48, _fixed_specs(), spectral=False)
+
+    @staticmethod
+    def _agree(scen, specs, spectral):
+        plan = _BatchPlan(scen, specs)
+        assert plan.spectral == spectral
         B = 40
         batch = _eval_chunk(plan, master_seed=11, stream=0, lo=0, hi=B,
                             mode="h0")
-        R = scen_n24_k48.covariance()
-        s = scen_n24_k48.steering
-        K = scen_n24_k48.K
+        R = scen.covariance()
+        s = scen.steering
+        K = scen.K
         for t in range(B):
-            ds = sample_dataset(scen_n24_k48, Swerling0(), "h0",
+            ds = sample_dataset(scen, Swerling0(), "h0",
                                 trial_rng(11, 0, t))
             S = scm(ds)
             for sp in specs:
@@ -132,23 +155,78 @@ class TestBatchScalarAgreement:
                 assert batch[sp.label][t] == pytest.approx(ref, rel=rtol), \
                     (sp.label, t)
 
+    @pytest.mark.parametrize("mode", ["h0", "coeff"])
+    def test_routes_agree(self, scen_n24_k48, mode):
+        # adding el-amf moves every fixed kind from Cholesky solves to the
+        # spectrum; only the last bits may change
+        specs = _fixed_specs()
+        chol = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0, 0, 64,
+                           mode)
+        spec = _eval_chunk(
+            _BatchPlan(scen_n24_k48, specs + [DetectorSpec("el-amf")]),
+            11, 0, 0, 64, mode)
+        for sp in specs:
+            np.testing.assert_allclose(chol[sp.label], spec[sp.label],
+                                       rtol=1e-10, atol=0, err_msg=sp.label)
+
+
+# the true covariance and the SCMs are clamped, with a warning each
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestSingularScm:
+    # the last kind of each set is one the scalar path rejects
+    @pytest.mark.parametrize("tags", [
+        ("scm-amf",), ("persym-amf",), ("np", "dl-scm-beta"),
+        ("el-amf", "scm-amf"), ("el-amf", "persym-amf"),
+        ("opt-cfar-dl-amf",)])
+    def test_batch_fails_like_scalar(self, tags):
+        scen = _singular_scenario()
+        specs = [DetectorSpec(k, lam=1.0 if k == "dl-scm-beta" else None)
+                 for k in tags]
+        with pytest.raises(NumericalError):
+            h0_statistics(scen, specs, 16, master_seed=0)
+        ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, 0))
+        with pytest.raises(NumericalError):
+            detectors.evaluate_statistic(specs[-1], ds.y0, scen.steering,
+                                         scen.K, scm=scm(ds))
+
+    def test_loaded_kinds_still_run(self):
+        # the guard covers unloaded forms only, as in the scalar path
+        scen = _singular_scenario()
+        dl = DetectorSpec("dl-amf", lam=1.0)
+        for specs in ([dl], [dl, DetectorSpec("el-amf")]):
+            stats = h0_statistics(scen, specs, 16, master_seed=0)
+            assert np.all(np.isfinite(stats[dl.label]))
+
 
 class TestDeterminism:
     def test_worker_count_invariant(self, scen_n24_k48):
-        specs = [DetectorSpec("np"), DetectorSpec("scm-amf")]
-        a = h0_statistics(scen_n24_k48, specs, 600, master_seed=5, workers=1,
+        self._workers_agree(scen_n24_k48,
+                            [DetectorSpec("np"), DetectorSpec("scm-amf")])
+
+    def test_worker_count_invariant_cholesky_route(self, scen_n24_k48):
+        self._workers_agree(scen_n24_k48, _fixed_specs())
+
+    def test_chunk_size_invariant(self, scen_n24_k48):
+        self._chunks_agree(scen_n24_k48, [DetectorSpec("dl-amf", lam=1.5)])
+
+    def test_chunk_size_invariant_cholesky_route(self, scen_n24_k48):
+        self._chunks_agree(scen_n24_k48, _fixed_specs())
+
+    @staticmethod
+    def _workers_agree(scen, specs):
+        a = h0_statistics(scen, specs, 600, master_seed=5, workers=1,
                           chunk=128)
-        b = h0_statistics(scen_n24_k48, specs, 600, master_seed=5, workers=3,
+        b = h0_statistics(scen, specs, 600, master_seed=5, workers=3,
                           chunk=128)
         for lbl in a:
             np.testing.assert_array_equal(a[lbl], b[lbl])
 
-    def test_chunk_size_invariant(self, scen_n24_k48):
-        specs = [DetectorSpec("dl-amf", lam=1.5)]
-        a = h0_statistics(scen_n24_k48, specs, 300, master_seed=5, chunk=64)
-        b = h0_statistics(scen_n24_k48, specs, 300, master_seed=5, chunk=300)
-        np.testing.assert_array_equal(a["dl-amf(lam=1.5)"],
-                                      b["dl-amf(lam=1.5)"])
+    @staticmethod
+    def _chunks_agree(scen, specs):
+        a = h0_statistics(scen, specs, 300, master_seed=5, chunk=64)
+        b = h0_statistics(scen, specs, 300, master_seed=5, chunk=300)
+        for lbl in a:
+            np.testing.assert_array_equal(a[lbl], b[lbl])
 
     def test_streams_differ(self, scen_n24_k48):
         spec = [DetectorSpec("np")]
@@ -173,6 +251,15 @@ class TestThreshold:
             threshold_from_stats(np.ones(10), pfa=0.0)
         with pytest.warns(RuntimeWarning):
             threshold_from_stats(np.arange(100.0), pfa=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("count", [20, 200])
+    def test_non_finite_statistics_rejected(self, bad, count):
+        # 20 NaNs in 1e4 used to shift the achieved Pfa, 200 made tau NaN
+        stats = np.random.default_rng(0).exponential(size=10_000)
+        stats[:count] = bad
+        with pytest.raises(NumericalError, match=f"{count} of 10000"):
+            threshold_from_stats(stats, pfa=1e-2)
 
     def test_calibrate_single_vs_dict(self, scen_n24_k48):
         one = TrialConfig(scen_n24_k48, DetectorSpec("np"), trials=4000,
