@@ -348,8 +348,9 @@ def _mc_pd_curves(run, name, scenario, specs, grid_db, budgets, seed, workers,
                          trials=budgets["pd"], master_seed=seed, pfa_pre=pfa,
                          workers=workers)
     acc = {t: {sp.label: ([], [], []) for sp in specs} for t in targets}
+    plan = harness._BatchPlan(scenario, specs)
     for i, db in enumerate(grid_db):
-        ev = harness.pd_evaluator(pd_cfg, stream=1 + i)
+        ev = harness.pd_evaluator(pd_cfg, stream=1 + i, plan=plan)
         scnr = float(harness.db_to_linear(db))
         for t in targets:
             for sp in specs:

@@ -19,16 +19,21 @@ Each run factors the sample covariance S one of two ways, chosen from the
 detector set alone:
 
 - spectral route, when the set holds a kind that picks its loading per
-  trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): one batched eigh of S, and
-  every fixed loading in the set is read off that spectrum too;
+  trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): one batched eigh of S, with
+  the eigenvalues clamped at EIG_FLOOR_REL of the largest as the scalar
+  path clamps them, and every fixed loading in the set is read off that
+  spectrum too;
 - Cholesky route, for every other set: one bordered Cholesky factorization
   of S + lam I per distinct fixed loading (lam = 0 for scm-amf and the
-  dl-scm-beta normalizer), shared by all kinds at that loading, with
-  cfar-dl-amf's mu0_hat taken from the same factor.
+  dl-scm-beta normalizer), shared by all kinds at that loading. A chunk
+  allocates one bordered buffer; S is formed straight into its top-left
+  block and each loading only rewrites the diagonal. cfar-dl-amf's mu0_hat
+  comes from a triangular inverse of the same factor, one matrix at a time.
 
-persym-amf factors the persymmetrized SCM by Cholesky in both routes.
-Unloaded forms raise NumericalError on a numerically singular SCM, as the
-scalar detectors do.
+persym-amf factors the persymmetrized SCM by Cholesky in both routes; it
+overwrites the bordered buffer's block in place, after every fixed loading
+has been factored. Unloaded forms raise NumericalError on a numerically
+singular SCM, as the scalar detectors do.
 
 Reproducibility: for a given (seed, stream, trial, detector set) every
 statistic is bit-identical for every worker count and chunk size. Two
@@ -44,6 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import ztrtri
 
 from . import detectors, estimators, rmt
 from .detectors import (CFAR_DL_AMF, CFAR_DL_SCMF, CFAR_EL_AMF, DL_AMF,
@@ -52,11 +58,13 @@ from .detectors import (CFAR_DL_AMF, CFAR_DL_SCMF, CFAR_EL_AMF, DL_AMF,
 from .errors import ConfigError, NumericalError
 from .optimizer import _GOLDEN, OptConfig, lambda_opt
 from .results import Curve, Histogram
-from .scenario import philox_key
+from .scenario import EIG_FLOOR_REL, philox_key
 
 DEFAULT_CHUNK = 4096
 # stands in for +inf on the border diagonal of _bordered
 _BORDER = 1e200
+# trials per SCM product in the Cholesky route
+_SCM_BLOCK = 256
 _SQRT2 = np.sqrt(2)
 _EL_FTOL = estimators._EL_FTOL
 
@@ -175,6 +183,20 @@ class _BatchPlan:
                     rmt.deterministic_equivalents(
                         R, self.s, self.opt_lambda_star, self.K).mu0
 
+        # distinct fixed loadings, in order of first use; lam = 0 serves
+        # scm-amf and the dl-scm-beta normalizer
+        lams = []
+        for sp in specs:
+            if sp.kind == SCM_AMF:
+                lams.append(0.0)
+            elif sp.kind == DL_SCM_BETA:
+                lams += [sp.lam, 0.0]
+            elif sp.kind == OPT_CFAR_DL_SCMF:
+                lams.append(self.opt_lambda_star)
+            elif sp.kind in (DL_AMF, DL_RAW, CFAR_DL_SCMF, CFAR_DL_AMF):
+                lams.append(sp.lam)
+        self.fixed_lams = list(dict.fromkeys(lams))
+
 
 def _reset_state(bitgen, ctr, key, buf, trial):
     ctr[1] = trial  # counter = trial * 2**64
@@ -205,7 +227,8 @@ def _generate(plan, master_seed, stream, lo, hi, want_amp):
             amp[i] = gen.standard_normal(2)
     colored = np.matmul(plan.sqrtR, Z)
     amp_c = (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2 if want_amp else None
-    return colored[:, :, 0], colored[:, :, 1:], amp_c
+    # y0 is a copy, so dropping the secondaries frees the snapshot array
+    return colored[:, :, 0].copy(), colored[:, :, 1:], amp_c
 
 
 def _el_lambda_rows(l, log_zeta):
@@ -322,36 +345,36 @@ def _opt_lambda_rows(l, w2, plan):
     return np.where(flat, 0.0, xs)
 
 
-def _bordered(M, lam, s, y0):
-    """[[M + lam I, X], [X^H, D]] with X = [s, y0] and D = _BORDER I.
+def _bordered(plan, y0):
+    """Zeroed (B, N+2, N+2) buffer with the border of [[M, X], [X^H, D]].
 
-    The border is written below the diagonal only; Cholesky reads no more.
+    X = [s, y0] and D = _BORDER I. The border is written below the diagonal
+    only; Cholesky reads no more. The caller writes M + lam I into the
+    top-left N x N block.
     """
-    B, N, _ = M.shape
+    B, N = y0.shape
     A = np.zeros((B, N + 2, N + 2), dtype=complex)
-    A[:, :N, :N] = M
-    diag = np.arange(N)
-    A[:, diag, diag] += lam
-    A[:, N, :N] = np.conj(s)
+    A[:, N, :N] = np.conj(plan.s)
     A[:, N + 1, :N] = np.conj(y0)
     A[:, N, N] = A[:, N + 1, N + 1] = _BORDER
     return A
 
 
-def _cholesky_forms(M, lam, plan, y0, with_mu0):
+def _cholesky_forms(A, lam, plan, with_mu0):
     """(alpha, beta, mu0h) at loading lam from one Cholesky factorization.
 
-    Factors the bordered matrix of _bordered: its factor is [[L, 0], [W, *]]
-    with L L^H = M + lam I and W^H = L^{-1} X, so the forward substitutions
-    u = L^{-1} s and v = L^{-1} y0 come out of the same LAPACK call. Only
-    the lower triangle is read, so M need not be symmetrized. D = _BORDER
-    keeps the trailing 2x2 Schur complement positive; it does not touch L
-    or W. mu0h needs tr((M + lam I)^{-1}) = ||L^{-1}||_F^2 and
+    A is a _bordered buffer whose top-left block holds M + lam I. Its factor
+    is [[L, 0], [W, *]] with L L^H = M + lam I and W^H = L^{-1} X, so the
+    forward substitutions u = L^{-1} s and v = L^{-1} y0 come out of the
+    same LAPACK call. Only the lower triangle is read, so M need not be
+    symmetrized. D = _BORDER keeps the trailing 2x2 Schur complement
+    positive; it does not touch L or W. mu0h needs
+    tr((M + lam I)^{-1}) = ||L^{-1}||_F^2 and
     s^H (M + lam I)^{-1} M (M + lam I)^{-1} s = beta - lam ||u^H L^{-1}||^2.
     """
-    N = M.shape[1]
+    N = plan.N
     try:
-        F = np.linalg.cholesky(_bordered(M, lam, plan.s, y0))
+        F = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"Cholesky factorization failed at loading {lam:g}: "
@@ -361,20 +384,37 @@ def _cholesky_forms(M, lam, plan, y0, with_mu0):
         # lambda_min <= min L_ii^2 and lambda_max >= max M_ii
         detectors.guard_invertible(
             np.diagonal(L, axis1=1, axis2=2).real.min(1) ** 2,
-            np.diagonal(M, axis1=1, axis2=2).real.max(1))
+            np.diagonal(A, axis1=1, axis2=2)[:, :N].real.max(1))
     uh = F[:, N, :N]
     alpha = (uh * np.conj(F[:, N + 1, :N])).sum(1)
     beta = (np.abs(uh) ** 2).sum(1)
     mu0h = None
     if with_mu0:
-        Linv = np.linalg.inv(L)
-        xh = np.matmul(uh[:, None, :], Linv)[:, 0]
-        num = beta - lam * (np.abs(xh) ** 2).sum(1)
-        tr = (np.einsum("bij,bij->b", Linv.real, Linv.real)
-              + np.einsum("bij,bij->b", Linv.imag, Linv.imag))
+        tr, xn = _inverse_norms(L, uh)
         d1 = plan.base + lam * tr / plan.K
-        mu0h = num / d1 ** 2
+        mu0h = (beta - lam * xn) / d1 ** 2
     return alpha, beta, mu0h
+
+
+def _inverse_norms(L, uh):
+    """Rows ||L^{-1}||_F^2 and ||uh L^{-1}||^2 of lower-triangular L.
+
+    One LAPACK triangular inverse per matrix (a sixth of the flops of a
+    general inverse); no (B, N, N) inverse is kept.
+    """
+    B = L.shape[0]
+    tr = np.empty(B)
+    xn = np.empty(B)
+    for b in range(B):
+        Linv, info = ztrtri(L[b], lower=1)
+        if info:
+            raise NumericalError(
+                "triangular inverse of the Cholesky factor failed "
+                f"(info={info})")
+        x = uh[b] @ Linv
+        tr[b] = np.vdot(Linv, Linv).real
+        xn[b] = np.vdot(x, x).real
+    return tr, xn
 
 
 def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
@@ -388,14 +428,15 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
     want_amp = mode == "coeff"
     y0, Ysec, amp_c = _generate(plan, master_seed, stream, lo, hi, want_amp)
     B = y0.shape[0]
-    K = plan.K
+    N, K = plan.N, plan.K
 
-    if plan.need_scm:
-        S = np.matmul(Ysec, Ysec.conj().transpose(0, 2, 1)) / K
-
+    fixed = {}
     if plan.spectral:
+        S = np.matmul(Ysec, Ysec.conj().transpose(0, 2, 1)) / K
         S = 0.5 * (S + S.conj().transpose(0, 2, 1))
         l, V = np.linalg.eigh(S)
+        # the floor HermitianSpectrum.from_matrix sets in the scalar path
+        l = np.maximum(l, EIG_FLOOR_REL * l[:, -1:])
         Vh = V.conj().transpose(0, 2, 1)
         w = np.matmul(Vh, plan.s)
         z0 = np.matmul(Vh, y0[..., None])[..., 0]
@@ -416,18 +457,29 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
                 mu0h = num / d1 ** 2
             return alpha, beta, mu0h
 
-    fixed_cache = {}
-
-    def fixed_forms(lam):
-        got = fixed_cache.get(lam)
-        if got is None:
-            with_mu0 = lam in plan.mu0_lams
-            if plan.spectral:
-                got = row_forms(np.full(B, lam), with_mu0)
-            else:
-                got = _cholesky_forms(S, lam, plan, y0, with_mu0)
-            fixed_cache[lam] = got
-        return got
+        for lam in plan.fixed_lams:
+            fixed[lam] = row_forms(np.full(B, lam), lam in plan.mu0_lams)
+        if plan.need_persym:
+            A = _bordered(plan, y0)
+            A[:, :N, :N] = S
+    elif plan.need_scm:
+        # one bordered buffer serves every loading: its block holds S, and
+        # only the diagonal changes between factorizations
+        A = _bordered(plan, y0)
+        blk = A[:, :N, :N]
+        diag = np.arange(N)
+        # blocks of trials bound the conjugated copy of the secondaries
+        for b in range(0, B, _SCM_BLOCK):
+            Yb = Ysec[b:b + _SCM_BLOCK]
+            np.matmul(Yb, Yb.conj().transpose(0, 2, 1),
+                      out=blk[b:b + _SCM_BLOCK])
+        del Ysec, Yb
+        blk /= K
+        diag_S = blk[:, diag, diag]
+        for lam in plan.fixed_lams:
+            blk[:, diag, diag] = diag_S + lam
+            fixed[lam] = _cholesky_forms(A, lam, plan, lam in plan.mu0_lams)
+        blk[:, diag, diag] = diag_S
 
     el_forms = None
     if plan.need_el:
@@ -439,10 +491,14 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
         lam_star = _opt_lambda_rows(l, w2, plan)
         opt_forms = row_forms(lam_star, with_mu0=True)
     if plan.need_persym:
+        # last, since it overwrites the block: 0.5 (S + J S^T J) in place.
         # J S^T J reads the lower triangle of S where J conj(S) J reads the
-        # upper one; the two agree on a Hermitian S
-        Sp = 0.5 * (S + S.transpose(0, 2, 1)[:, ::-1, ::-1])
-        persym_forms = _cholesky_forms(Sp, 0.0, plan, y0, False)
+        # upper one; the two agree on a Hermitian S. np.add buffers the
+        # operand that overlaps its output.
+        blk = A[:, :N, :N]
+        np.add(blk, blk.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
+        blk *= 0.5
+        persym_forms = _cholesky_forms(A, 0.0, plan, False)
 
     out = {}
     for sp in plan.specs:
@@ -452,22 +508,22 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
             beta = np.full(B, plan.q)
             norm = np.full(B, plan.q)
         elif kind == SCM_AMF:
-            alpha, beta, _ = fixed_forms(0.0)
+            alpha, beta, _ = fixed[0.0]
             norm = beta
         elif kind == DL_AMF:
-            alpha, beta, _ = fixed_forms(sp.lam)
+            alpha, beta, _ = fixed[sp.lam]
             norm = beta
         elif kind == DL_SCM_BETA:
-            alpha, beta, _ = fixed_forms(sp.lam)
-            norm = fixed_forms(0.0)[1]
+            alpha, beta, _ = fixed[sp.lam]
+            norm = fixed[0.0][1]
         elif kind == DL_RAW:
-            alpha, beta, _ = fixed_forms(sp.lam)
+            alpha, beta, _ = fixed[sp.lam]
             norm = np.ones(B)
         elif kind == CFAR_DL_SCMF:
-            alpha, beta, _ = fixed_forms(sp.lam)
+            alpha, beta, _ = fixed[sp.lam]
             norm = np.full(B, plan.oracle_mu0[sp.lam])
         elif kind == CFAR_DL_AMF:
-            alpha, beta, norm = fixed_forms(sp.lam)
+            alpha, beta, norm = fixed[sp.lam]
         elif kind == EL_AMF:
             alpha, beta, _ = el_forms
             norm = beta
@@ -477,7 +533,7 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
             alpha, beta, _ = persym_forms
             norm = beta
         elif kind == OPT_CFAR_DL_SCMF:
-            alpha, beta, _ = fixed_forms(plan.opt_lambda_star)
+            alpha, beta, _ = fixed[plan.opt_lambda_star]
             norm = np.full(B, plan.oracle_mu0[plan.opt_lambda_star])
         elif kind == OPT_CFAR_DL_AMF:
             alpha, beta, norm = opt_forms
@@ -615,8 +671,14 @@ class PdEvaluator:
         return k / self.trials, wilson_ci(k, self.trials)
 
 
-def pd_evaluator(cfg, stream=1):
-    plan = _BatchPlan(cfg.scenario, cfg.spec_list(), cfg.opt_config)
+def pd_evaluator(cfg, stream=1, plan=None):
+    """Frozen coefficients of one pass of cfg on stream.
+
+    plan, a _BatchPlan of cfg's scenario and detectors, skips the set-up
+    when a caller reuses it across passes.
+    """
+    if plan is None:
+        plan = _BatchPlan(cfg.scenario, cfg.spec_list(), cfg.opt_config)
     coeffs = _run_batches(plan, cfg.trials, cfg.master_seed, stream,
                           cfg.workers, cfg.chunk, "coeff")
     return PdEvaluator(coeffs, plan.q, cfg.trials)
@@ -647,8 +709,9 @@ def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1):
     ys = {sp.label: np.empty(grid.shape[0]) for sp in specs}
     los = {sp.label: np.empty(grid.shape[0]) for sp in specs}
     his = {sp.label: np.empty(grid.shape[0]) for sp in specs}
+    plan = _BatchPlan(cfg.scenario, specs, cfg.opt_config)
     for i, db in enumerate(grid):
-        ev = pd_evaluator(cfg, stream=stream_base + i)
+        ev = pd_evaluator(cfg, stream=stream_base + i, plan=plan)
         for sp in specs:
             p, (lo, hi) = ev.pd(sp.label, taus[sp.label],
                                 float(db_to_linear(db)), target_model)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlamf import cli
+from dlamf import cli, harness
+from dlamf.detectors import DetectorSpec
 from dlamf.errors import NumericalError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -229,6 +230,24 @@ class TestErrorsAndUsage:
 
 
 class TestReproduce:
+    def test_mc_pd_curves_design_once_per_sweep(self, tmp_path, monkeypatch):
+        # one oracle design for the threshold pass, one for the whole sweep
+        calls = []
+        lambda_opt = harness.lambda_opt
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lambda_opt(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "lambda_opt", counted)
+        scen = cli._scen_toeplitz(12, 24)
+        specs = [DetectorSpec("np"), DetectorSpec("opt-cfar-dl-scmf")]
+        run = cli._Run([], tmp_path)
+        cli._mc_pd_curves(run, "figx", scen, specs, np.array([0.0, 5.0, 10.0]),
+                          {"threshold": 200, "pd": 32}, 1, 1, 0.25)
+        assert len(calls) == 2
+        assert len(run.files) == 4
+
     def test_fig5_fast_smoke(self, tmp_path):
         out = tmp_path / "fig5"
         with pytest.warns(RuntimeWarning):

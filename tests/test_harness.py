@@ -6,6 +6,7 @@ import pytest
 from dlamf import detectors, harness, theory
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
+from dlamf.optimizer import lambda_opt
 from dlamf.harness import (TrialConfig, _BatchPlan, _eval_chunk, _generate,
                            calibrate_threshold, detection_loss_table,
                            empirical_pdf, estimate_pd, h0_statistics,
@@ -131,11 +132,18 @@ class TestBatchScalarAgreement:
     def test_fixed_kinds(self, scen_n24_k48):
         self._agree(scen_n24_k48, _fixed_specs(), spectral=False)
 
+    def test_cholesky_route_n48(self):
+        # the triangular-inverse mu0_hat and the in-place persymmetrization
+        # at the size the pd-sweep benchmark runs
+        specs = [DetectorSpec("scm-amf"), DetectorSpec("persym-amf"),
+                 DetectorSpec("cfar-dl-amf", lam=1.5),
+                 DetectorSpec("dl-scm-beta", lam=1.5)]
+        self._agree(toeplitz_scenario(48, 64), specs, spectral=False, B=24)
+
     @staticmethod
-    def _agree(scen, specs, spectral):
+    def _agree(scen, specs, spectral, B=40):
         plan = _BatchPlan(scen, specs)
         assert plan.spectral == spectral
-        B = 40
         batch = _eval_chunk(plan, master_seed=11, stream=0, lo=0, hi=B,
                             mode="h0")
         R = scen.covariance()
@@ -169,6 +177,19 @@ class TestBatchScalarAgreement:
             np.testing.assert_allclose(chol[sp.label], spec[sp.label],
                                        rtol=1e-10, atol=0, err_msg=sp.label)
 
+    def test_set_composition_invariant(self, scen_n24_k48):
+        # persym-amf first: every loading shares one buffer, which the
+        # persymmetrized SCM overwrites, so no kind may see its neighbours
+        specs = _fixed_specs()
+        specs.sort(key=lambda sp: sp.kind != "persym-amf")
+        together = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0, 0, 64,
+                               "h0")
+        for sp in specs:
+            alone = _eval_chunk(_BatchPlan(scen_n24_k48, [sp]), 11, 0, 0, 64,
+                                "h0")
+            np.testing.assert_array_equal(together[sp.label],
+                                          alone[sp.label], err_msg=sp.label)
+
 
 # the true covariance and the SCMs are clamped, with a warning each
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -188,6 +209,19 @@ class TestSingularScm:
         with pytest.raises(NumericalError):
             detectors.evaluate_statistic(specs[-1], ds.y0, scen.steering,
                                          scen.K, scm=scm(ds))
+
+    def test_el_kinds_match_scalar(self):
+        # the batch EL search clamps the spectrum as the scalar path does
+        scen = _singular_scenario()
+        specs = [DetectorSpec("el-amf"), DetectorSpec("cfar-el-amf")]
+        batch = h0_statistics(scen, specs, 8, master_seed=0)
+        for t in range(8):
+            ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, t))
+            for sp in specs:
+                ref = detectors.evaluate_statistic(sp, ds.y0, scen.steering,
+                                                   scen.K, scm=scm(ds))
+                assert batch[sp.label][t] == pytest.approx(ref, rel=1e-7), \
+                    (sp.label, t)
 
     def test_loaded_kinds_still_run(self):
         # the guard covers unloaded forms only, as in the scalar path
@@ -355,6 +389,29 @@ class TestSweepAndBisection:
         assert np.all(np.diff(curve.y) > -0.03)
         assert curve.meta["tau"] == tau
         assert np.all((curve.ci_lo <= curve.y) & (curve.y <= curve.ci_hi))
+
+    def test_sweep_builds_plan_once(self, scen_n24_k48, monkeypatch):
+        # the oracle loading of opt-cfar-dl-scmf is designed once per curve,
+        # and every point matches a pass that builds its own plan
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lambda_opt(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "lambda_opt", counted)
+        specs = [DetectorSpec("np"), DetectorSpec("opt-cfar-dl-scmf")]
+        cfg = TrialConfig(scen_n24_k48, specs, trials=64, master_seed=4)
+        taus = {"np": 4.0, "opt-cfar-dl-scmf": 4.0}
+        grid = np.array([0.0, 5.0, 10.0])
+        curves = pd_vs_scnr_sweep(cfg, taus, grid, "swerling1")
+        assert len(calls) == 1
+        for i, db in enumerate(grid):
+            ev = pd_evaluator(cfg, stream=1 + i)
+            for lbl, tau in taus.items():
+                p, _ = ev.pd(lbl, tau, float(harness.db_to_linear(db)),
+                             "swerling1")
+                assert curves[lbl].y[i] == p
 
     def test_sweep_multi_returns_dict(self, scen_n24_k48):
         tau = theory.cfar_threshold(1e-2)
