@@ -9,9 +9,13 @@ eigenvalues l_i and steering weights w_i in the SCM eigenbasis, define
 
 Then mu0_hat = num / D1^2, gamma_hat = 1 - D1^2/D2, xi_hat = num / D2 and
 kappa_lower_hat = D1^2 psi_hat^2 / num are strongly consistent for the
-corresponding deterministic equivalents as N, K grow proportionally. The
-expected-likelihood (EL) loading factor and the theta transform that links
-sample and population resolvents live here too.
+corresponding deterministic equivalents as N, K grow proportionally.
+
+Like their rmt counterparts, d_factors, estimated_equivalents and its
+accessors take lam as a scalar or an array; one array call evaluates a whole
+loading grid from one set of SCM weights. The expected-likelihood (EL)
+loading factor and the theta transform that links sample and population
+resolvents live here too.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError
+from .rmt import _loadings, _shaped, _square
 from .scenario import HermitianSpectrum, SteeringVector
 
 _EL_FTOL = 1e-10
@@ -36,26 +41,33 @@ def _as_entries(s):
 def _check(scm, lam, K):
     if not isinstance(scm, HermitianSpectrum):
         scm = HermitianSpectrum.from_matrix(scm, label="sample covariance")
-    if lam < 0 or not np.isfinite(lam):
-        raise ConfigError(f"loading factor must be finite and >= 0, got {lam}")
+    lams = _loadings(lam)
     if K < scm.dim:
         raise ConfigError(f"estimators need K >= N, got N={scm.dim} K={K}")
-    return scm
+    return scm, lams
+
+
+def _d_factors(loaded, lams, K):
+    # loaded[j, i] = l_i + lams[j]
+    base = 1.0 - loaded.shape[1] / K
+    d1 = base + lams * np.sum(1.0 / loaded, axis=1) / K
+    d2 = base + _square(lams) * np.sum(1.0 / loaded ** 2, axis=1) / K
+    return d1, d2
 
 
 def d_factors(eigenvalues, lam, K):
-    """Trace corrections (D1, D2) built from the SCM spectrum."""
+    """Trace corrections (D1, D2) built from the SCM spectrum; floats for a
+    scalar lam, arrays shaped like lam for an array."""
+    lams = _loadings(lam)
     l = np.asarray(eigenvalues, dtype=float)
-    N = l.shape[0]
-    base = 1.0 - N / K
-    d1 = base + lam * np.sum(1.0 / (l + lam)) / K
-    d2 = base + lam ** 2 * np.sum(1.0 / (l + lam) ** 2) / K
-    return float(d1), float(d2)
+    d1, d2 = _d_factors(l + lams[:, None], lams, K)
+    return _shaped(d1, lam), _shaped(d2, lam)
 
 
 @dataclass(frozen=True)
 class EstimatedEquivalents:
-    """Plug-in values at one loading factor, mirroring AsymptoticParams."""
+    """Plug-in values at one loading factor, mirroring AsymptoticParams
+    (arrays like lam when lam is an array)."""
 
     lam: float
     psi_hat: float
@@ -68,16 +80,23 @@ class EstimatedEquivalents:
 
 
 def estimated_equivalents(scm, s, lam, K):
-    scm = _check(scm, lam, K)
+    """Every plug-in value at lam, a scalar or an array of loading factors;
+    the SCM weights are computed once for the whole array."""
+    scm, lams = _check(scm, lam, K)
     w2 = np.abs(scm.weights(_as_entries(s))) ** 2
     l = scm.eigenvalues
-    d1, d2 = d_factors(l, lam, K)
-    psi = float(np.sum(w2 / (l + lam)))
-    num = float(np.sum(w2 * l / (l + lam) ** 2))
+    loaded = l + lams[:, None]
+    d1, d2 = _d_factors(loaded, lams, K)
+    psi = np.sum(w2 / loaded, axis=1)
+    num = np.sum(w2 * l / loaded ** 2, axis=1)
+    d1sq = _square(d1)
     return EstimatedEquivalents(
-        lam=float(lam), psi_hat=psi, xi_hat=num / d2,
-        gamma_hat=1.0 - d1 ** 2 / d2, mu0_hat=num / d1 ** 2,
-        kappa_lower_hat=d1 ** 2 * psi ** 2 / num, d1=d1, d2=d2)
+        lam=_shaped(lams, lam), psi_hat=_shaped(psi, lam),
+        xi_hat=_shaped(num / d2, lam),
+        gamma_hat=_shaped(1.0 - d1sq / d2, lam),
+        mu0_hat=_shaped(num / d1sq, lam),
+        kappa_lower_hat=_shaped(d1sq * _square(psi) / num, lam),
+        d1=_shaped(d1, lam), d2=_shaped(d2, lam))
 
 
 def psi_hat(scm, s, lam, K):
@@ -102,7 +121,7 @@ def mu0_hat(scm, s, lam, K):
 
 def kappa_lower_hat(scm, s, lam, K):
     """Consistent estimate of q * kappa(lam); maximize this over lam to
-    select the loading factor from data alone."""
+    select the loading factor from data alone. lam may be an array."""
     return estimated_equivalents(scm, s, lam, K).kappa_lower_hat
 
 

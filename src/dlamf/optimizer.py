@@ -5,7 +5,10 @@ data-driven rule maximizes its consistent surrogate kappa_lower_hat computed
 from one SCM draw. Both share the same search: an analytic evaluation at
 lam = 0, a 200-point log grid up to 100x the mean eigenvalue, then
 golden-section refinement inside the best grid bracket. Ties break toward
-the smallest loading.
+the smallest loading. The whole grid, lam = 0 included, is evaluated in one
+array call of the objective (rmt and estimators take array loadings), and so
+are the kappa curve and the crossing scan; only the golden steps and the
+crossing's root finder evaluate one loading at a time.
 """
 
 from __future__ import annotations
@@ -76,8 +79,12 @@ def golden_refine(objective, lo, hi, tol):
 def maximize_over_lambda(objective, eigenvalues, config=None):
     """Grid-then-golden maximization of objective(lam) over [0, lambda_max].
 
-    A flat objective (no grid point improves on lam = 0 beyond rounding)
-    returns lambda_star = 0 with converged = False.
+    objective is called first with the whole grid as one float array and
+    must return its values there (an array of the grid's shape, or one
+    value broadcast to it); golden refinement then calls it with scalars.
+    evaluations counts grid points plus golden steps. A flat objective (no
+    grid point improves on lam = 0 beyond rounding) returns lambda_star = 0
+    with converged = False.
     """
     cfg = config or OptConfig()
     if cfg.grid_points < 2:
@@ -85,7 +92,8 @@ def maximize_over_lambda(objective, eigenvalues, config=None):
     lam_max = cfg.resolved_max(eigenvalues)
     grid = np.concatenate((
         [0.0], np.logspace(-3.0, math.log10(lam_max), cfg.grid_points)))
-    vals = np.array([objective(g) for g in grid])
+    vals = np.broadcast_to(np.asarray(objective(grid), dtype=float),
+                           grid.shape)
     evals = grid.shape[0]
     best = int(np.argmax(vals))  # first max = smallest lam on ties
 
@@ -135,8 +143,8 @@ def kappa_lambda_curve(R, s, K, lambda_grid=None, config=None):
             [0.0], np.logspace(-3.0, math.log10(cfg.resolved_max(R.eigenvalues)),
                                cfg.grid_points)))
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    kap = np.array([rmt.kappa(R, s, g, K) for g in lambda_grid])
-    klo = np.array([rmt.kappa_lower(R, s, g, K) for g in lambda_grid])
+    kap = rmt.kappa(R, s, lambda_grid, K)
+    klo = rmt.kappa_lower(R, s, lambda_grid, K)
     N = R.dim
     return Curve(x=lambda_grid, y=kap, label="kappa",
                  meta={"kappa_lower": klo, "one_minus_c": 1.0 - N / K})
@@ -157,7 +165,7 @@ def kappa_crossing(R, s, K, level=None, config=None):
     cfg = config or OptConfig()
     grid = np.logspace(-3.0, math.log10(cfg.resolved_max(R.eigenvalues)),
                        cfg.grid_points)
-    vals = np.array([rmt.kappa(R, s, g, K) - level for g in grid])
+    vals = rmt.kappa(R, s, grid, K) - level
     best = int(np.argmax(vals))
     below = np.nonzero(vals[best:] < 0.0)[0]
     if best == 0 or below.shape[0] == 0:

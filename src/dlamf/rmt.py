@@ -18,6 +18,12 @@ mu0 normalizes the loaded filter output power under h0. The SCNR-preservation
 factor kappa = (1 - gamma) psi^2 / (q xi) with q = s^H R^{-1} s measures the
 fraction of optimal output SCNR the loaded filter retains; kappa(0) = 1 - c
 recovers the unloaded SCM filter and kappa is bounded above by 1 - gamma < 1.
+
+solve_delta, deterministic_equivalents, kappa and kappa_lower take lam as a
+scalar or as an array. An array runs the delta fixed point for every element
+in lockstep, so a whole loading grid costs one NumPy pass; a scalar is the
+one-element case of the same code, and each element of an array call equals
+the scalar call bit for bit.
 """
 
 from __future__ import annotations
@@ -44,63 +50,119 @@ def _check_regime(N, K):
             f"asymptotic formulas need c = N/K < 1, got N={N} K={K}")
 
 
+def _square(x):
+    """x ** 2 rounded as Python's float ** 2 rounds it (libm pow), for
+    scalars and arrays alike, so array results equal scalar float
+    arithmetic; np.square rounds differently in about 1 case in 1000."""
+    return np.float_power(x, 2)
+
+
+def _loadings(lam):
+    """lam as a 1-D float array, checked to be finite and >= 0."""
+    lams = np.asarray(lam, dtype=float).reshape(-1)
+    bad = lams[~(lams >= 0.0) | ~np.isfinite(lams)]
+    if bad.size:
+        raise ConfigError(
+            f"loading factor must be finite and >= 0, got {bad[0]}")
+    return lams
+
+
+def _shaped(values, lam):
+    """A float for a scalar lam, else values shaped like lam."""
+    if np.ndim(lam) == 0:
+        return float(values[0])
+    return values.reshape(np.shape(lam))
+
+
 def delta_residual(delta, eigenvalues, lam, K):
-    """Fixed-point defect delta * (1 + (1/K) tr(R (delta R + lam)^-1)) - 1."""
+    """Fixed-point defect delta * (1 + (1/K) tr(R (delta R + lam)^-1)) - 1.
+
+    delta and lam broadcast against each other; the trace runs over the
+    eigenvalues.
+    """
     rho = np.asarray(eigenvalues, dtype=float)
-    return delta * (1.0 + np.sum(rho / (delta * rho + lam)) / K) - 1.0
+    d = np.asarray(delta, dtype=float)[..., None]
+    tr = np.sum(rho / (d * rho + np.asarray(lam, dtype=float)[..., None]),
+                axis=-1)
+    res = d[..., 0] * (1.0 + tr / K) - 1.0
+    return float(res) if res.ndim == 0 else res
+
+
+def _fixed_point(rho, lam, K):
+    # delta <- 1 / (1 + (1/K) sum_i rho_i / (delta rho_i + lam)) for every
+    # lam at once; an element stops updating once it meets the tolerance
+    delta = np.full(lam.shape, 1.0 - rho.shape[0] / K)
+    live = np.arange(lam.shape[0])
+    for _ in range(_FP_MAX_ITER):
+        if not live.size:
+            break
+        d = delta[live]
+        nxt = 1.0 / (1.0 + np.sum(
+            rho / (d[:, None] * rho + lam[live, None]), axis=1) / K)
+        delta[live] = nxt
+        live = live[~(np.abs(nxt - d) <= _FP_TOL * nxt)]
+    return delta
+
+
+def _bisect(rho, lam, K):
+    # the residual is strictly increasing in delta with a sign change on
+    # (0, 1]; each element halves its own bracket until it is 1e-16 wide
+    lo = np.full(lam.shape, 1e-300)
+    hi = np.ones(lam.shape)
+    live = np.arange(lam.shape[0])
+    for _ in range(200):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        neg = delta_residual(mid, rho, lam[live], K) < 0.0
+        lo[live[neg]] = mid[neg]
+        hi[live[~neg]] = mid[~neg]
+        live = live[~(hi[live] - lo[live] <= 1e-16 * hi[live])]
+    return 0.5 * (lo + hi)
 
 
 def solve_delta(eigenvalues, lam, K):
-    """Solve the delta fixed point for loading factor lam >= 0.
+    """Solve the delta fixed point for each loading factor in lam >= 0.
 
-    lam = 0 short-circuits to the exact value 1 - N/K. Otherwise the map
+    lam may be a scalar (returns a float) or an array (returns an array of
+    its shape); a scalar is the one-element case of the same computation,
+    so each element of an array call equals the scalar call bit for bit.
+    lam = 0 gives the exact value 1 - N/K. Otherwise the map
     delta <- 1 / (1 + (1/K) sum_i rho_i / (delta rho_i + lam)) is iterated
-    from 1 - N/K; if it stalls, bisection on the (strictly increasing)
-    residual finishes the job. The result satisfies |residual| <= 1e-12 or a
-    NumericalError reports the defect.
+    from 1 - N/K; elements whose residual is then above 1e-12 finish by
+    bisection on the (strictly increasing) residual. Every result satisfies
+    |residual| <= 1e-12 or a NumericalError reports the first defect.
     """
     rho = np.asarray(eigenvalues, dtype=float)
     N = rho.shape[0]
     _check_regime(N, K)
     if np.any(rho <= 0):
         raise ConfigError("eigenvalues must be positive")
-    if lam < 0 or not np.isfinite(lam):
-        raise ConfigError(f"loading factor must be finite and >= 0, got {lam}")
-    if lam == 0.0:
-        return 1.0 - N / K
-
-    delta = 1.0 - N / K
-    for _ in range(_FP_MAX_ITER):
-        nxt = 1.0 / (1.0 + np.sum(rho / (delta * rho + lam)) / K)
-        if abs(nxt - delta) <= _FP_TOL * nxt:
-            delta = nxt
-            break
-        delta = nxt
-
-    if abs(delta_residual(delta, rho, lam, K)) > _RESIDUAL_TOL:
-        # residual is strictly increasing in delta with a sign change on (0, 1]
-        lo, hi = 1e-300, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if delta_residual(mid, rho, lam, K) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * hi:
-                break
-        delta = 0.5 * (lo + hi)
-
-    res = delta_residual(delta, rho, lam, K)
-    if abs(res) > _RESIDUAL_TOL:
-        raise NumericalError(
-            f"delta fixed point stalled at residual {res:.3e} "
-            f"(lam={lam}, N={N}, K={K})")
-    return float(delta)
+    lams = _loadings(lam)
+    delta = np.full(lams.shape, 1.0 - N / K)
+    idx = np.nonzero(lams != 0.0)[0]
+    if idx.size:
+        sub = lams[idx]
+        d = _fixed_point(rho, sub, K)
+        res = delta_residual(d, rho, sub, K)
+        off = np.nonzero(np.abs(res) > _RESIDUAL_TOL)[0]
+        if off.size:
+            d[off] = _bisect(rho, sub[off], K)
+            res[off] = delta_residual(d[off], rho, sub[off], K)
+        stalled = np.nonzero(np.abs(res) > _RESIDUAL_TOL)[0]
+        if stalled.size:
+            j = stalled[0]
+            raise NumericalError(
+                f"delta fixed point stalled at residual {res[j]:.3e} "
+                f"(lam={sub[j]}, N={N}, K={K})")
+        delta[idx] = d
+    return _shaped(delta, lam)
 
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Deterministic equivalents at one loading factor."""
+    """Deterministic equivalents at one loading factor, or at each of an
+    array of them (then every field but quad_inv is an array like lam)."""
 
     lam: float
     delta: float
@@ -119,9 +181,10 @@ class AsymptoticParams:
 def deterministic_equivalents(R, s, lam, K):
     """All deterministic equivalents of the loaded filter at lam.
 
-    R is a HermitianSpectrum, s a SteeringVector or array. lam = 0 uses the
-    exact closed forms psi = q/(1-c), xi = q/(1-c)^2, gamma = c,
-    mu0 = q/(1-c)^3.
+    R is a HermitianSpectrum, s a SteeringVector or array, lam a scalar or
+    an array of loading factors (one delta solve covers the whole array).
+    lam = 0 uses the exact closed forms psi = q/(1-c), xi = q/(1-c)^2,
+    gamma = c, mu0 = q/(1-c)^3.
     """
     if not isinstance(R, HermitianSpectrum):
         R = HermitianSpectrum.from_matrix(R)
@@ -130,19 +193,23 @@ def deterministic_equivalents(R, s, lam, K):
     N = rho.shape[0]
     _check_regime(N, K)
     q = R.inv_quad(sv)
-    if lam == 0.0:
-        omc = 1.0 - N / K
-        return AsymptoticParams(lam=0.0, delta=omc, psi=q / omc,
-                                xi=q / omc ** 2, gamma=N / K,
-                                mu0=q / omc ** 3, quad_inv=q)
-    delta = solve_delta(rho, lam, K)
+    lams = _loadings(lam)
+    delta = solve_delta(rho, lams, K)
     w2 = np.abs(R.weights(sv)) ** 2
-    den = delta * rho + lam
-    psi = float(np.sum(w2 / den))
-    xi = float(np.sum(w2 * rho / den ** 2))
-    gamma = float(delta ** 2 * np.sum(rho ** 2 / den ** 2) / K)
-    return AsymptoticParams(lam=float(lam), delta=delta, psi=psi, xi=xi,
-                            gamma=gamma, mu0=xi / (1.0 - gamma), quad_inv=q)
+    den = delta[:, None] * rho + lams[:, None]
+    psi = np.sum(w2 / den, axis=1)
+    xi = np.sum(w2 * rho / den ** 2, axis=1)
+    gamma = _square(delta) * np.sum(rho ** 2 / den ** 2, axis=1) / K
+    mu0 = xi / (1.0 - gamma)
+    zero = lams == 0.0
+    if zero.any():
+        omc = 1.0 - N / K
+        psi[zero], xi[zero] = q / omc, q / omc ** 2
+        gamma[zero], mu0[zero] = N / K, q / omc ** 3
+    return AsymptoticParams(
+        lam=_shaped(lams, lam), delta=_shaped(delta, lam),
+        psi=_shaped(psi, lam), xi=_shaped(xi, lam),
+        gamma=_shaped(gamma, lam), mu0=_shaped(mu0, lam), quad_inv=q)
 
 
 def mu1(params, sigma_t2):
@@ -157,19 +224,23 @@ def mu1(params, sigma_t2):
 
 
 def kappa(R, s, lam, K):
-    """SCNR-preservation factor kappa(lam) = (1 - gamma) psi^2 / (q xi)."""
+    """SCNR-preservation factor kappa(lam) = (1 - gamma) psi^2 / (q xi);
+    lam may be a scalar or an array."""
     p = deterministic_equivalents(R, s, lam, K)
-    return (1.0 - p.gamma) * p.psi ** 2 / (p.quad_inv * p.xi)
+    k = (1.0 - p.gamma) * _square(p.psi) / (p.quad_inv * p.xi)
+    return float(k) if np.ndim(lam) == 0 else k
 
 
 def kappa_lower(R, s, lam, K):
-    """Estimable surrogate (1 - gamma) psi^2 / xi = q * kappa(lam).
+    """Estimable surrogate (1 - gamma) psi^2 / xi = q * kappa(lam); lam may
+    be a scalar or an array.
 
     Shares its maximizer with kappa, so loading-factor selection can work
     from data without knowing q.
     """
     p = deterministic_equivalents(R, s, lam, K)
-    return (1.0 - p.gamma) * p.psi ** 2 / p.xi
+    k = (1.0 - p.gamma) * _square(p.psi) / p.xi
+    return float(k) if np.ndim(lam) == 0 else k
 
 
 def kappa_derivative_at_zero(R, K):

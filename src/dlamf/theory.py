@@ -6,6 +6,13 @@ a Poisson-mixture series below the a*b = 30 switch point, an exp-scaled
 Bessel series above it. Both branches target 1e-10 absolute error; tests
 check them against an mpmath quadrature oracle and against scipy's
 noncentral chi-square CDF through the survival identity.
+
+The Poisson series stops when the summed Poisson(a^2/2) mass reaches
+1 - 1e-16, or earlier, once n is past both Poisson means and adding the
+next term leaves every running sum unchanged in floating point: the terms
+only shrink from there, so the result is the one the full series gives.
+The rounded mass often settles just below 1 - 1e-16, so without the second
+rule the loop would run to its 100 000-term cap.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ def _marcum_series(a, b):
         n += 1
         p *= x / n
         t *= y / n
+        if (n > x and n > y and g + t == g and acc + p * g == acc
+                and cum + p == cum):
+            break  # p and t only shrink from here: no later term registers
         g += t
         acc += p * g
         cum += p

@@ -52,6 +52,21 @@ class TestMaximize:
         assert res.lambda_star == 0.0
         assert not res.converged
 
+    def test_grid_in_one_call_then_scalars(self):
+        calls = []
+
+        def objective(t):
+            calls.append(t)
+            return -(t - 5.0) ** 2
+
+        res = optimizer.maximize_over_lambda(objective, np.ones(4))
+        grid = calls[0]
+        assert isinstance(grid, np.ndarray) and grid.shape == (201,)
+        assert grid[0] == 0.0 and grid[-1] == pytest.approx(100.0)
+        assert all(np.ndim(t) == 0 for t in calls[1:])
+        assert res.converged
+        assert res.evaluations == grid.shape[0] + len(calls) - 1
+
     def test_interior_peak(self):
         res = optimizer.maximize_over_lambda(
             lambda t: -(t - 5.0) ** 2, np.ones(4), OptConfig(tol=1e-8))

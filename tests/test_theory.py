@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dlamf import rmt, theory
+from dlamf import harness, rmt, theory
 from dlamf.errors import ConfigError
 
 import oracles
@@ -64,6 +64,50 @@ class TestMarcum:
         q = theory.marcum_q(a, b)
         assert theory.marcum_q(a + bump, b) >= q - 1e-12
         assert theory.marcum_q(a, b + bump) <= q + 1e-12
+
+
+class TestSeriesStop:
+    # the Poisson series stops once no later term can register; it must
+    # return the bits of the series summed to its 100 000-term cap
+    ROC_DB = np.arange(0.0, 26.25, 0.5)
+
+    def _series_points(self, kv):
+        # (a, b) of roc_swerling0(db_to_linear(ROC_DB), kv, 1e-3) that the
+        # series branch handles, built the way cfar_dl_pd builds them
+        b = math.sqrt(2.0 * theory.cfar_threshold(1e-3))
+        for e in harness.db_to_linear(self.ROC_DB) * kv:
+            a = math.sqrt(2.0 * e)
+            if a * b <= 30.0:
+                yield a, b
+
+    def test_stalled_roc_points(self):
+        capped = 0
+        for kv in (0.5, 0.9):
+            for a, b in self._series_points(kv):
+                ref, terms = oracles.marcum_series_capped(a, b)
+                capped += terms == 100_000
+                assert theory._marcum_series(a, b) == ref
+        # the reference really runs to its cap on these ROCs (on 20 of the
+        # 69 points with glibc's libm; the count depends on exp rounding)
+        assert capped >= 10
+
+    def test_stalled_example(self):
+        # 12 dB at kappa 0.9: x = 14.264..., y = 6.908...
+        x = float(harness.db_to_linear(12.0)) * 0.9
+        a, b = math.sqrt(2.0 * x), math.sqrt(2.0 * theory.cfar_threshold(1e-3))
+        ref, terms = oracles.marcum_series_capped(a, b)
+        assert terms == 100_000
+        assert theory._marcum_series(a, b) == ref
+        assert theory.roc_swerling0(harness.db_to_linear(12.0), 0.9,
+                                    1e-3) == ref
+
+    def test_series_grid(self):
+        grid = np.linspace(0.05, 12.0, 16).tolist()
+        for a in grid:
+            for b in grid:
+                if a * b <= 30.0:
+                    ref, _ = oracles.marcum_series_capped(a, b)
+                    assert theory._marcum_series(a, b) == ref, (a, b)
 
 
 class TestBessel:
