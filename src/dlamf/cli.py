@@ -218,15 +218,14 @@ def cmd_kappa(args, argv):
     grid = _parse_lambda_grid(args.lambda_grid)
     if grid[0] != 0.0:
         grid = np.concatenate(([0.0], grid))
-    R = scen.covariance()
-    s = scen.steering
     run = _Run(argv, args.out, doc)
-    rows = []
-    for lam in grid:
-        rows.append((float(lam), rmt.kappa(R, s, lam, scen.K),
-                     rmt.kappa_lower(R, s, lam, scen.K), 1.0 - scen.c))
+    curve = optimizer.kappa_lambda_curve(scen.covariance(), scen.steering,
+                                         scen.K, lambda_grid=grid)
+    one_minus_c = curve.meta["one_minus_c"]
     _write_csv(run.path("kappa.csv"),
-               ("lambda", "kappa", "kappa_lower", "one_minus_c"), rows)
+               ("lambda", "kappa", "kappa_lower", "one_minus_c"),
+               ((lam, k, klo, one_minus_c) for lam, k, klo in
+                zip(curve.x, curve.y, curve.meta["kappa_lower"])))
     run.finish({"seed": None, "detectors": []})
     return 0
 

@@ -15,19 +15,24 @@ and SCNR-at-Pd bisection re-thresholds cached coefficients instead of
 re-simulating. Swerling 0 and Swerling I share the same draws through a
 frozen unit amplitude per trial.
 
-Each run factors the sample covariance S one of two ways, chosen from the
-detector set alone:
+Within a chunk, trials are drawn, colored, reduced to their sample
+covariances S and factored _BLOCK at a time; a block keeps only y0 and a
+few numbers per trial, so a chunk of B trials holds O(_BLOCK N K + B N)
+memory rather than O(B N K + B N^2).
+
+Each run factors S one of two ways, chosen from the detector set alone:
 
 - spectral route, when the set holds a kind that picks its loading per
-  trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): one batched eigh of S, with
-  the eigenvalues clamped at EIG_FLOOR_REL of the largest as the scalar
-  path clamps them, and every fixed loading in the set is read off that
-  spectrum too;
+  trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): one batched eigh of each
+  block of S, with the eigenvalues clamped at EIG_FLOOR_REL of the largest
+  as the scalar path clamps them. A block keeps the rows l, |V^H s|^2 and
+  conj(V^H s) (V^H y0); the loading searches and every fixed loading in
+  the set then run once over the chunk's rows;
 - Cholesky route, for every other set: one bordered Cholesky factorization
   of S + lam I per distinct fixed loading (lam = 0 for scm-amf and the
-  dl-scm-beta normalizer), shared by all kinds at that loading. A chunk
+  dl-scm-beta normalizer), shared by all kinds at that loading. A block
   allocates one bordered buffer; S is formed straight into its top-left
-  block and each loading only rewrites the diagonal. cfar-dl-amf's mu0_hat
+  corner and each loading only rewrites the diagonal. cfar-dl-amf's mu0_hat
   comes from a triangular inverse of the same factor, one matrix at a time.
 
 persym-amf factors the persymmetrized SCM by Cholesky in both routes; it
@@ -38,7 +43,11 @@ singular SCM, as the scalar detectors do.
 Reproducibility: for a given (seed, stream, trial, detector set) every
 statistic is bit-identical for every worker count and chunk size. Two
 detector sets that take different routes may differ in the last bits of a
-fixed-loading kind's statistic.
+fixed-loading kind's statistic. Complex products of per-trial arrays are
+explicit np.multiply calls: the `*` operator lets NumPy reuse a temporary
+of 256 KiB or more as its output with the operands swapped, and the
+swapped product rounds differently, which would tie the bits to the
+number of trials sharing an array.
 """
 
 from __future__ import annotations
@@ -63,8 +72,8 @@ from .scenario import EIG_FLOOR_REL, philox_key
 DEFAULT_CHUNK = 4096
 # stands in for +inf on the border diagonal of _bordered
 _BORDER = 1e200
-# trials per SCM product in the Cholesky route
-_SCM_BLOCK = 256
+# trials drawn, colored and reduced at a time within a chunk
+_BLOCK = 256
 _SQRT2 = np.sqrt(2)
 _EL_FTOL = estimators._EL_FTOL
 
@@ -211,20 +220,26 @@ def _generate(plan, master_seed, stream, lo, hi, want_amp):
     B = hi - lo
     N, K = plan.N, plan.K
     M = K + 1
+    nm = N * M
     key = philox_key(master_seed, stream)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     ctr = np.zeros(4, np.uint64)
     buf = np.zeros(4, np.uint64)
-    Z = np.empty((B, N, M), dtype=complex)
+    raw = np.empty((B, 2 * nm))
     amp = np.empty((B, 2)) if want_amp else None
-    nm = N * M
     for i in range(B):
         _reset_state(bitgen, ctr, key, buf, lo + i)
-        z = gen.standard_normal(2 * nm)
-        Z[i] = (z[:nm].reshape(N, M) + 1j * z[nm:].reshape(N, M)) / _SQRT2
+        gen.standard_normal(out=raw[i])
         if want_amp:
-            amp[i] = gen.standard_normal(2)
+            gen.standard_normal(out=amp[i])
+    # reals then imaginaries per trial; equal bit for bit to
+    # (re + 1j * im) / sqrt(2), without the complex temporaries
+    Z = np.empty((B, N, M), dtype=complex)
+    Z.real = raw[:, :nm].reshape(B, N, M)
+    Z.imag = raw[:, nm:].reshape(B, N, M)
+    del raw
+    Z /= _SQRT2
     colored = np.matmul(plan.sqrtR, Z)
     amp_c = (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2 if want_amp else None
     # y0 is a copy, so dropping the secondaries frees the snapshot array
@@ -386,7 +401,8 @@ def _cholesky_forms(A, lam, plan, with_mu0):
             np.diagonal(L, axis1=1, axis2=2).real.min(1) ** 2,
             np.diagonal(A, axis1=1, axis2=2)[:, :N].real.max(1))
     uh = F[:, N, :N]
-    alpha = (uh * np.conj(F[:, N + 1, :N])).sum(1)
+    # np.multiply, not `*`: see Reproducibility in the module docstring
+    alpha = np.multiply(uh, np.conj(F[:, N + 1, :N])).sum(1)
     beta = (np.abs(uh) ** 2).sum(1)
     mu0h = None
     if with_mu0:
@@ -417,6 +433,71 @@ def _inverse_norms(L, uh):
     return tr, xn
 
 
+def _persym_forms(A, plan):
+    """persym-amf's (alpha, beta, None), overwriting A's block with the
+    persymmetrized SCM 0.5 (S + J S^T J).
+
+    J S^T J reads the lower triangle of S where J conj(S) J reads the upper
+    one; the two agree on a Hermitian S. np.add buffers the operand that
+    overlaps its output.
+    """
+    N = plan.N
+    blk = A[:, :N, :N]
+    np.add(blk, blk.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
+    blk *= 0.5
+    return _cholesky_forms(A, 0.0, plan, False)
+
+
+def _reduce_block(plan, master_seed, stream, lo, hi, want_amp):
+    """Draw trials [lo, hi) and reduce them to what the statistics need.
+
+    Returns y0, the unit amplitudes when asked, persym-amf's forms when
+    planned, and per route either the spectral rows l, w2 = |V^H s|^2 and
+    wz = conj(V^H s) (V^H y0), or the Cholesky forms of each fixed loading
+    (keyed by the loading). Nothing of size N x K outlives the block.
+    """
+    y0, Y, amp = _generate(plan, master_seed, stream, lo, hi, want_amp)
+    N, K = plan.N, plan.K
+    out = {"y0": y0}
+    if want_amp:
+        out["amp"] = amp
+    if plan.spectral:
+        S = np.matmul(Y, Y.conj().transpose(0, 2, 1)) / K
+        del Y
+        S = 0.5 * (S + S.conj().transpose(0, 2, 1))
+        l, V = np.linalg.eigh(S)
+        # the floor HermitianSpectrum.from_matrix sets in the scalar path
+        out["l"] = np.maximum(l, EIG_FLOOR_REL * l[:, -1:])
+        Vh = V.conj().transpose(0, 2, 1)
+        w = np.matmul(Vh, plan.s)
+        z0 = np.matmul(Vh, y0[..., None])[..., 0]
+        out["w2"] = np.abs(w) ** 2
+        # np.multiply, not `*`: see Reproducibility in the module docstring
+        out["wz"] = np.multiply(np.conj(w), z0)
+        if plan.need_persym:
+            A = _bordered(plan, y0)
+            A[:, :N, :N] = S
+            out["persym"] = _persym_forms(A, plan)
+    elif plan.need_scm:
+        # one bordered buffer serves every loading: its block holds S, and
+        # only the diagonal changes between factorizations
+        A = _bordered(plan, y0)
+        blk = A[:, :N, :N]
+        np.matmul(Y, Y.conj().transpose(0, 2, 1), out=blk)
+        del Y
+        blk /= K
+        diag = np.arange(N)
+        diag_S = blk[:, diag, diag]
+        for lam in plan.fixed_lams:
+            blk[:, diag, diag] = diag_S + lam
+            out[lam] = _cholesky_forms(A, lam, plan, lam in plan.mu0_lams)
+        if plan.need_persym:
+            # last, since it overwrites the block
+            blk[:, diag, diag] = diag_S
+            out["persym"] = _persym_forms(A, plan)
+    return out
+
+
 def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
     """Evaluate all planned detectors on trials [lo, hi).
 
@@ -424,24 +505,20 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
     {label: (alpha, beta, norm)} plus the frozen unit amplitudes under
     '__amp__'. alpha, beta are the affine pieces of the filter output in the
     target amplitude; norm is the per-trial normalizer.
+
+    Trials are drawn and reduced _BLOCK at a time; the loading searches
+    and the spectral forms then run once over the chunk's rows.
     """
     want_amp = mode == "coeff"
-    y0, Ysec, amp_c = _generate(plan, master_seed, stream, lo, hi, want_amp)
+    red = _merge([_reduce_block(plan, master_seed, stream, b,
+                                min(b + _BLOCK, hi), want_amp)
+                  for b in range(lo, hi, _BLOCK)])
+    y0 = red["y0"]
     B = y0.shape[0]
-    N, K = plan.N, plan.K
+    K = plan.K
 
-    fixed = {}
     if plan.spectral:
-        S = np.matmul(Ysec, Ysec.conj().transpose(0, 2, 1)) / K
-        S = 0.5 * (S + S.conj().transpose(0, 2, 1))
-        l, V = np.linalg.eigh(S)
-        # the floor HermitianSpectrum.from_matrix sets in the scalar path
-        l = np.maximum(l, EIG_FLOOR_REL * l[:, -1:])
-        Vh = V.conj().transpose(0, 2, 1)
-        w = np.matmul(Vh, plan.s)
-        z0 = np.matmul(Vh, y0[..., None])[..., 0]
-        w2 = np.abs(w) ** 2
-        wz = np.conj(w) * z0
+        l, w2, wz = red["l"], red["w2"], red["wz"]
 
         def row_forms(lam_rows, with_mu0):
             unloaded = lam_rows == 0.0
@@ -457,29 +534,10 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
                 mu0h = num / d1 ** 2
             return alpha, beta, mu0h
 
-        for lam in plan.fixed_lams:
-            fixed[lam] = row_forms(np.full(B, lam), lam in plan.mu0_lams)
-        if plan.need_persym:
-            A = _bordered(plan, y0)
-            A[:, :N, :N] = S
-    elif plan.need_scm:
-        # one bordered buffer serves every loading: its block holds S, and
-        # only the diagonal changes between factorizations
-        A = _bordered(plan, y0)
-        blk = A[:, :N, :N]
-        diag = np.arange(N)
-        # blocks of trials bound the conjugated copy of the secondaries
-        for b in range(0, B, _SCM_BLOCK):
-            Yb = Ysec[b:b + _SCM_BLOCK]
-            np.matmul(Yb, Yb.conj().transpose(0, 2, 1),
-                      out=blk[b:b + _SCM_BLOCK])
-        del Ysec, Yb
-        blk /= K
-        diag_S = blk[:, diag, diag]
-        for lam in plan.fixed_lams:
-            blk[:, diag, diag] = diag_S + lam
-            fixed[lam] = _cholesky_forms(A, lam, plan, lam in plan.mu0_lams)
-        blk[:, diag, diag] = diag_S
+        fixed = {lam: row_forms(np.full(B, lam), lam in plan.mu0_lams)
+                 for lam in plan.fixed_lams}
+    else:
+        fixed = {lam: red[lam] for lam in plan.fixed_lams}
 
     el_forms = None
     if plan.need_el:
@@ -490,15 +548,7 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
     if plan.need_opt:
         lam_star = _opt_lambda_rows(l, w2, plan)
         opt_forms = row_forms(lam_star, with_mu0=True)
-    if plan.need_persym:
-        # last, since it overwrites the block: 0.5 (S + J S^T J) in place.
-        # J S^T J reads the lower triangle of S where J conj(S) J reads the
-        # upper one; the two agree on a Hermitian S. np.add buffers the
-        # operand that overlaps its output.
-        blk = A[:, :N, :N]
-        np.add(blk, blk.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
-        blk *= 0.5
-        persym_forms = _cholesky_forms(A, 0.0, plan, False)
+    persym_forms = red.get("persym")
 
     out = {}
     for sp in plan.specs:
@@ -544,12 +594,26 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
         else:
             out[sp.label] = (alpha, beta, norm)
     if want_amp:
-        out["__amp__"] = amp_c
+        out["__amp__"] = red["amp"]
     return out
 
 
 def _chunk_call(args):
     return _eval_chunk(*args)
+
+
+def _merge(parts):
+    """Concatenate per-range results in order; tuples element by element."""
+    merged = {}
+    for key, first in parts[0].items():
+        if isinstance(first, tuple):
+            merged[key] = tuple(
+                None if x is None
+                else np.concatenate([p[key][j] for p in parts])
+                for j, x in enumerate(first))
+        else:
+            merged[key] = np.concatenate([p[key] for p in parts])
+    return merged
 
 
 def _run_batches(plan, trials, master_seed, stream, workers, chunk, mode):
@@ -560,15 +624,7 @@ def _run_batches(plan, trials, master_seed, stream, workers, chunk, mode):
     else:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_chunk_call, args))
-    merged = {}
-    for key in parts[0]:
-        if isinstance(parts[0][key], tuple):
-            merged[key] = tuple(
-                np.concatenate([p[key][j] for p in parts])
-                for j in range(len(parts[0][key])))
-        else:
-            merged[key] = np.concatenate([p[key] for p in parts])
-    return merged
+    return _merge(parts)
 
 
 def h0_statistics(scenario, specs, trials, master_seed, stream=0, workers=1,

@@ -136,8 +136,9 @@ def solve_delta(eigenvalues, lam, K):
     rho = np.asarray(eigenvalues, dtype=float)
     N = rho.shape[0]
     _check_regime(N, K)
-    if np.any(rho <= 0):
-        raise ConfigError("eigenvalues must be positive")
+    # written so that NaN fails it: a NaN compares False both ways
+    if not np.all(np.isfinite(rho) & (rho > 0)):
+        raise ConfigError("eigenvalues must be finite and positive")
     lams = _loadings(lam)
     delta = np.full(lams.shape, 1.0 - N / K)
     idx = np.nonzero(lams != 0.0)[0]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlamf import cli, harness
+from dlamf import cli, harness, rmt
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import NumericalError
 
@@ -40,6 +40,22 @@ class TestKappa:
         assert float(rows[0][1]) == 0.75  # exactly 1 - c at lam = 0
         kappas = np.array([float(r[1]) for r in rows])
         assert kappas.max() > 0.9
+
+    def test_table_matches_scalar_rows(self, tmp_path):
+        # the table comes from one array call over the grid; every cell
+        # must be what a per-lambda scalar call writes
+        out = tmp_path / "run"
+        cli.main(["kappa", "--config", TOEPLITZ_N24,
+                  "--lambda-grid", "0.001:log:1000:31", "--out", str(out)])
+        scen, _, _ = cli._load_scenario(TOEPLITZ_N24)
+        R, s, K = scen.covariance(), scen.steering, scen.K
+        _, rows = _read_csv(out / "kappa.csv")
+        assert len(rows) == 32
+        for row in rows:
+            lam = float(row[0])
+            assert row == [repr(lam), repr(float(rmt.kappa(R, s, lam, K))),
+                           repr(float(rmt.kappa_lower(R, s, lam, K))),
+                           repr(1.0 - scen.c)]
 
     def test_crlf_line_endings(self, tmp_path):
         out = tmp_path / "run"

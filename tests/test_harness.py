@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ class TestGeneratorLayout:
             sample_dataset(scen_n24_k48, Swerling0(), "h0", rng)
             b = Swerling1(power=1.0).draw_amplitude(rng)
             assert amp[t] == pytest.approx(b, rel=1e-15)
+
+    def test_block_edge_through_eval_chunk(self, scen_n24_k48):
+        # a chunk of trials [0, edge + 6) is drawn in two blocks, and trials
+        # [edge - 6, edge + 6) straddle the edge (250 to 262 for blocks of
+        # 256). np's statistic depends on y0 alone.
+        edge = harness._BLOCK
+        trials = range(edge - 6, edge + 6)
+        plan = _BatchPlan(scen_n24_k48, [DetectorSpec("np")])
+        out = _eval_chunk(plan, 7, 3, 0, edge + 6, "coeff")
+        y0 = np.empty((12, 24), dtype=complex)
+        for i, t in enumerate(trials):
+            rng = trial_rng(7, 3, t)
+            y0[i] = sample_dataset(scen_n24_k48, Swerling0(), "h0", rng).y0
+            b = Swerling1(power=1.0).draw_amplitude(rng)
+            assert out["__amp__"][t] == pytest.approx(b, rel=1e-15)
+        np.testing.assert_array_equal(out["np"][0][trials], y0 @ plan.t_conj)
+        stats = _eval_chunk(plan, 7, 3, 0, edge + 6, "h0")["np"]
+        np.testing.assert_array_equal(
+            stats[trials], np.abs(y0 @ plan.t_conj) ** 2 / plan.q)
 
     def test_trials_are_disjoint(self, scen_n24_k48):
         plan = _BatchPlan(scen_n24_k48, [DetectorSpec("np")])
@@ -246,6 +266,22 @@ class TestDeterminism:
     def test_chunk_size_invariant_cholesky_route(self, scen_n24_k48):
         self._chunks_agree(scen_n24_k48, _fixed_specs())
 
+    @pytest.mark.parametrize("specs", [_all_specs, _fixed_specs],
+                             ids=["spectral", "cholesky"])
+    def test_chunk_size_invariant_at_scale(self, scen_n24_k48, specs):
+        # full chunks of 1000 and 4096 trials hold complex temporaries
+        # above NumPy's 256 KiB elision threshold; the last partial chunk
+        # does not, and neither does a partial block
+        self._chunks_agree(scen_n24_k48, specs(), trials=4096,
+                           chunks=(4096, 1000, 777))
+
+    @pytest.mark.parametrize("specs", [_all_specs, _fixed_specs],
+                             ids=["spectral", "cholesky"])
+    def test_chunk_size_invariant_n64(self, specs):
+        # at N = 64 a full block of per-trial rows is itself 256 KiB
+        self._chunks_agree(toeplitz_scenario(64, 96), specs(), trials=300,
+                           chunks=(300, 257))
+
     @staticmethod
     def _workers_agree(scen, specs):
         a = h0_statistics(scen, specs, 600, master_seed=5, workers=1,
@@ -256,17 +292,50 @@ class TestDeterminism:
             np.testing.assert_array_equal(a[lbl], b[lbl])
 
     @staticmethod
-    def _chunks_agree(scen, specs):
-        a = h0_statistics(scen, specs, 300, master_seed=5, chunk=64)
-        b = h0_statistics(scen, specs, 300, master_seed=5, chunk=300)
-        for lbl in a:
-            np.testing.assert_array_equal(a[lbl], b[lbl])
+    def _chunks_agree(scen, specs, trials=300, chunks=(64, 300)):
+        a = h0_statistics(scen, specs, trials, master_seed=5, chunk=chunks[0])
+        for chunk in chunks[1:]:
+            b = h0_statistics(scen, specs, trials, master_seed=5, chunk=chunk)
+            for lbl in a:
+                np.testing.assert_array_equal(a[lbl], b[lbl])
 
     def test_streams_differ(self, scen_n24_k48):
         spec = [DetectorSpec("np")]
         a = h0_statistics(scen_n24_k48, spec, 50, master_seed=5, stream=0)
         b = h0_statistics(scen_n24_k48, spec, 50, master_seed=5, stream=1)
         assert not np.allclose(a["np"], b["np"])
+
+
+class TestChunkMemory:
+    """A chunk's traced peak is set by its blocks, not by trials x N x K."""
+
+    @staticmethod
+    def _peak_mib(plan, trials, mode):
+        tracemalloc.start()
+        try:
+            _eval_chunk(plan, 1, 0, 0, trials, mode)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_pd_sweep_set_n48(self):
+        # the pd-sweep-n48 benchmark's set and chunk; holding the chunk's
+        # snapshots whole peaked at 245.7 MiB
+        specs = ([DetectorSpec(k) for k in ("np", "scm-amf", "persym-amf")]
+                 + [DetectorSpec(k, lam=1.5)
+                    for k in ("dl-amf", "cfar-dl-amf", "cfar-dl-scmf")])
+        plan = _BatchPlan(toeplitz_scenario(48, 64), specs)
+        assert self._peak_mib(plan, 2560, "coeff") < 96
+
+    def test_criterion4_set(self, scen_n24_k48):
+        # criterion 4's CFAR set in one 4096-trial chunk; 198.8 MiB whole
+        specs = ([DetectorSpec(k, lam=lam)
+                  for k in ("cfar-dl-scmf", "cfar-dl-amf")
+                  for lam in (1.5, 5.0, 10.0)]
+                 + [DetectorSpec("cfar-el-amf"),
+                    DetectorSpec("opt-cfar-dl-amf")])
+        plan = _BatchPlan(scen_n24_k48, specs)
+        assert self._peak_mib(plan, 4096, "h0") < 64
 
 
 class TestThreshold:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlamf import rmt
+from dlamf.errors import ConfigError
 from dlamf.scenario import HermitianSpectrum
 
 import oracles
@@ -52,6 +53,13 @@ class TestDelta:
         # lambda -> inf: the loaded matrix is dominated by lambda I, delta -> 1
         eig = scen_n24_k48.covariance().eigenvalues
         assert rmt.solve_delta(eig, 1e12, 48) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("lam", [1.5, np.array([0.0, 1.5, 10.0])],
+                             ids=["scalar", "array"])
+    def test_rejects_bad_eigenvalues(self, bad, lam):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            rmt.solve_delta(np.array([1.0, bad, 2.0]), lam, 8)
 
 
 class TestEquivalents:
