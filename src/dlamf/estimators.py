@@ -11,11 +11,13 @@ Then mu0_hat = num / D1^2, gamma_hat = 1 - D1^2/D2, xi_hat = num / D2 and
 kappa_lower_hat = D1^2 psi_hat^2 / num are strongly consistent for the
 corresponding deterministic equivalents as N, K grow proportionally.
 
-Like their rmt counterparts, d_factors, estimated_equivalents and its
-accessors take lam as a scalar or an array; one array call evaluates a whole
-loading grid from one set of SCM weights. The expected-likelihood (EL)
-loading factor and the theta transform that links sample and population
-resolvents live here too.
+All of these sums come from one row kernel, _loaded_rows, which takes B
+spectra with m loadings each: the scalar API (d_factors,
+estimated_equivalents and its accessors, which take lam as a scalar or an
+array) is one row of it, and the trial engine and the adaptive loading
+search pass many. The expected-likelihood (EL) loading factor is one row of
+the row bisection _el_rows in the same way. The theta transform that links
+sample and population resolvents lives here too.
 """
 
 from __future__ import annotations
@@ -47,21 +49,42 @@ def _check(scm, lam, K):
     return scm, lams
 
 
-def _d_factors(loaded, lams, K):
-    # loaded[j, i] = l_i + lams[j]
-    base = 1.0 - loaded.shape[1] / K
-    d1 = base + lams * np.sum(1.0 / loaded, axis=1) / K
-    d2 = base + _square(lams) * np.sum(1.0 / loaded ** 2, axis=1) / K
-    return d1, d2
+def _loaded_rows(l, w2, lams, K, wz=None):
+    """The loaded sums of B spectra, each at its own m loadings.
+
+    l (eigenvalues) and w2 = |V^H s|^2 are (B, N) rows and lams is (B, m).
+    Returns D1, psi = sum_i w2_i / (l_i + lam) and
+    num = sum_i w2_i l_i / (l_i + lam)^2, each (B, m), and with the rows
+    wz = conj(V^H s) (V^H y0) also alpha = sum_i wz_i / (l_i + lam). One row
+    is the scalar API; the trial engine and the adaptive loading search pass
+    many. Only the scalar API needs D2, which _d2_rows gives.
+    """
+    loaded = l[:, None, :] + lams[:, :, None]
+    d1 = (1.0 - l.shape[1] / K) + lams * (1.0 / loaded).sum(-1) / K
+    psi = (w2[:, None, :] / loaded).sum(-1)
+    num = (w2[:, None, :] * l[:, None, :] / loaded ** 2).sum(-1)
+    if wz is None:
+        return d1, psi, num
+    return d1, psi, num, (wz[:, None, :] / loaded).sum(-1)
+
+
+def _d2_rows(l, lams, K):
+    loaded = l[:, None, :] + lams[:, :, None]
+    return ((1.0 - l.shape[1] / K)
+            + _square(lams) * (1.0 / loaded ** 2).sum(-1) / K)
 
 
 def d_factors(eigenvalues, lam, K):
     """Trace corrections (D1, D2) built from the SCM spectrum; floats for a
     scalar lam, arrays shaped like lam for an array."""
-    lams = _loadings(lam)
-    l = np.asarray(eigenvalues, dtype=float)
-    d1, d2 = _d_factors(l + lams[:, None], lams, K)
-    return _shaped(d1, lam), _shaped(d2, lam)
+    l = np.asarray(eigenvalues, dtype=float)[None]
+    lams = _loadings(lam)[None]
+    d1 = _loaded_rows(l, np.zeros_like(l), lams, K)[0]
+    return _shaped(d1[0], lam), _shaped(_d2_rows(l, lams, K)[0], lam)
+
+
+def _kappa_lower(d1, psi, num):
+    return _square(d1) * _square(psi) / num
 
 
 @dataclass(frozen=True)
@@ -84,18 +107,16 @@ def estimated_equivalents(scm, s, lam, K):
     the SCM weights are computed once for the whole array."""
     scm, lams = _check(scm, lam, K)
     w2 = np.abs(scm.weights(_as_entries(s))) ** 2
-    l = scm.eigenvalues
-    loaded = l + lams[:, None]
-    d1, d2 = _d_factors(loaded, lams, K)
-    psi = np.sum(w2 / loaded, axis=1)
-    num = np.sum(w2 * l / loaded ** 2, axis=1)
+    l = scm.eigenvalues[None]
+    d1, psi, num = (x[0] for x in _loaded_rows(l, w2[None], lams[None], K))
+    d2 = _d2_rows(l, lams[None], K)[0]
     d1sq = _square(d1)
     return EstimatedEquivalents(
         lam=_shaped(lams, lam), psi_hat=_shaped(psi, lam),
         xi_hat=_shaped(num / d2, lam),
         gamma_hat=_shaped(1.0 - d1sq / d2, lam),
         mu0_hat=_shaped(num / d1sq, lam),
-        kappa_lower_hat=_shaped(d1sq * _square(psi) / num, lam),
+        kappa_lower_hat=_shaped(_kappa_lower(d1, psi, num), lam),
         d1=_shaped(d1, lam), d2=_shaped(d2, lam))
 
 
@@ -127,17 +148,22 @@ def kappa_lower_hat(scm, s, lam, K):
 
 # --- expected-likelihood loading ------------------------------------------
 
+def _log_g_rows(l, lams):
+    # log g at one loading per row of eigenvalues l (B, N)
+    r = l / (l + lams[:, None])
+    return np.log(r).sum(1) + l.shape[1] - r.sum(1)
+
+
 def el_log_g(eigenvalues, lam):
     """log of the EL sphericity ratio of the loaded SCM.
 
     log g(lam) = sum_i log(l_i/(l_i+lam)) + N - sum_i l_i/(l_i+lam);
     g(0) = 1 exactly and g decreases strictly in lam.
     """
-    l = np.asarray(eigenvalues, dtype=float)
     if lam < 0:
         raise ConfigError("loading factor must be >= 0")
-    r = l / (l + lam)
-    return float(np.sum(np.log(r)) + l.shape[0] - np.sum(r))
+    l = np.asarray(eigenvalues, dtype=float)
+    return float(_log_g_rows(l[None], np.array([lam], dtype=float))[0])
 
 
 def log_zeta_median(N, K):
@@ -164,29 +190,47 @@ def log_el_statistic(scm, reference):
     return float(logdet.real + W.shape[0] - np.trace(W).real)
 
 
-def _el_root(eigenvalues, log_zeta):
-    """Bisection for el_log_g(lam) = log_zeta; None if log_zeta >= 0."""
+def _el_rows(l, log_zeta):
+    """EL loading of each row of eigenvalues l (B, N): bisection for
+    log g(lam) = log_zeta, g strictly decreasing with g(0) = 1.
+
+    If the median were ever >= g(0) (log_zeta >= 0, one check for all rows)
+    the rule is vacuous: every row gets 0, with a warning. Rows leave the
+    bisection as they converge.
+    """
+    B = l.shape[0]
     if log_zeta >= 0.0:
-        return None
-    hi = float(np.max(eigenvalues))
+        warnings.warn("EL median >= g(0); no positive root, using lam = 0",
+                      RuntimeWarning, stacklevel=3)
+        return np.zeros(B)
+    hi = l.max(1)
     for _ in range(200):
-        if el_log_g(eigenvalues, hi) - log_zeta <= 0.0:
+        up = _log_g_rows(l, hi) - log_zeta > 0.0
+        if not up.any():
             break
-        hi *= 2.0
+        hi[up] *= 2.0
     else:
         raise NumericalError("EL bracket expansion failed")
-    lo = 0.0
-    val = None
+    lo = np.zeros(B)
+    out = np.empty(B)
+    rows = np.arange(B)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = el_log_g(eigenvalues, mid) - log_zeta
-        if abs(val) <= _EL_FTOL:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError(f"EL bisection stalled, defect {val:.3e}")
+        val = _log_g_rows(l, mid) - log_zeta
+        defect = np.abs(val)
+        if defect.min() <= _EL_FTOL:
+            done = defect <= _EL_FTOL
+            out[rows[done]] = mid[done]
+            if done.all():
+                return out
+            keep = ~done
+            rows, l, lo, hi, mid, val = (x[keep] for x in
+                                         (rows, l, lo, hi, mid, val))
+        gt = val > 0.0
+        np.copyto(lo, mid, where=gt)
+        np.copyto(hi, mid, where=~gt)
+    raise NumericalError(
+        f"EL bisection stalled, defect {np.abs(val).max():.3e}")
 
 
 def el_lambda(scm, K):
@@ -198,13 +242,8 @@ def el_lambda(scm, K):
     """
     if not isinstance(scm, HermitianSpectrum):
         scm = HermitianSpectrum.from_matrix(scm, label="sample covariance")
-    N = scm.dim
-    root = _el_root(scm.eigenvalues, log_zeta_median(N, K))
-    if root is None:
-        warnings.warn("EL median >= g(0); no positive root, using lam = 0",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    return root
+    log_zeta = log_zeta_median(scm.dim, K)
+    return float(_el_rows(scm.eigenvalues[None], log_zeta)[0])
 
 
 # --- sample <-> population resolvent link ----------------------------------

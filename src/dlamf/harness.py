@@ -16,18 +16,22 @@ re-simulating. Swerling 0 and Swerling I share the same draws through a
 frozen unit amplitude per trial.
 
 Within a chunk, trials are drawn, colored, reduced to their sample
-covariances S and factored _BLOCK at a time; a block keeps only y0 and a
-few numbers per trial, so a chunk of B trials holds O(_BLOCK N K + B N)
-memory rather than O(B N K + B N^2).
+covariances S and factored a block at a time: at most _BLOCK trials, and
+fewer when their snapshots would pass _BLOCK_BYTES. A block keeps only y0
+and a few numbers per trial, so a chunk of B trials holds O(N K + B N)
+memory at any array size.
 
+The statistics themselves are detectors.Plan's: its spectral_forms give
+(alpha, beta, mu0_hat) at each loading the set needs, the per-trial EL and
+opt searches included, and its assemble turns them into each kind's
+(alpha, beta, norm). evaluate_statistic is the same code on one trial.
 Each run factors S one of two ways, chosen from the detector set alone:
 
 - spectral route, when the set holds a kind that picks its loading per
   trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): one batched eigh of each
   block of S, with the eigenvalues clamped at EIG_FLOOR_REL of the largest
   as the scalar path clamps them. A block keeps the rows l, |V^H s|^2 and
-  conj(V^H s) (V^H y0); the loading searches and every fixed loading in
-  the set then run once over the chunk's rows;
+  conj(V^H s) (V^H y0), and spectral_forms runs once over the chunk's rows;
 - Cholesky route, for every other set: one bordered Cholesky factorization
   of S + lam I per distinct fixed loading (lam = 0 for scm-amf and the
   dl-scm-beta normalizer), shared by all kinds at that loading. A block
@@ -38,7 +42,7 @@ Each run factors S one of two ways, chosen from the detector set alone:
 persym-amf factors the persymmetrized SCM by Cholesky in both routes; it
 overwrites the bordered buffer's block in place, after every fixed loading
 has been factored. Unloaded forms raise NumericalError on a numerically
-singular SCM, as the scalar detectors do.
+singular SCM on both routes, as evaluate_statistic does.
 
 Reproducibility: for a given (seed, stream, trial, detector set) every
 statistic is bit-identical for every worker count and chunk size. Two
@@ -60,22 +64,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import ztrtri
 
-from . import detectors, estimators, rmt
-from .detectors import (CFAR_DL_AMF, CFAR_DL_SCMF, CFAR_EL_AMF, DL_AMF,
-                        DL_RAW, DL_SCM_BETA, EL_AMF, NP, OPT_CFAR_DL_AMF,
-                        OPT_CFAR_DL_SCMF, PERSYM_AMF, SCM_AMF, DetectorSpec)
+from . import detectors
+from .detectors import NP, DetectorSpec
 from .errors import ConfigError, NumericalError
-from .optimizer import _GOLDEN, OptConfig, lambda_opt
+from .optimizer import lambda_opt
 from .results import Curve, Histogram
 from .scenario import EIG_FLOOR_REL, philox_key
 
 DEFAULT_CHUNK = 4096
 # stands in for +inf on the border diagonal of _bordered
 _BORDER = 1e200
-# trials drawn, colored and reduced at a time within a chunk
+# trials drawn, colored and reduced at a time within a chunk: at most
+# _BLOCK, and fewer when their snapshots (16 N (K+1) bytes each) would
+# exceed _BLOCK_BYTES
 _BLOCK = 256
+_BLOCK_BYTES = 2 ** 24
 _SQRT2 = np.sqrt(2)
-_EL_FTOL = estimators._EL_FTOL
 
 
 def db_to_linear(db):
@@ -143,68 +147,23 @@ class TrialConfig:
 
 # --- batched evaluation ----------------------------------------------------
 
-class _BatchPlan:
-    """Everything chunk evaluation needs, precomputed once per run."""
+class _BatchPlan(detectors.Plan):
+    """A detectors.Plan of the scenario's true covariance, plus what
+    drawing and factoring a chunk needs; built once per run."""
 
     def __init__(self, scenario, specs, opt_config=None):
         labels = [sp.label for sp in specs]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate detector labels in {labels}")
-        self.specs = list(specs)
-        self.N = scenario.N
-        self.K = scenario.K
-        self.base = 1.0 - self.N / self.K
         R = scenario.covariance()
+        super().__init__(specs, scenario.steering, scenario.K, R, opt_config,
+                         design=lambda_opt)
+        self.base = 1.0 - self.N / self.K
         self.sqrtR = R.sqrt_matrix()
-        self.s = scenario.steering.entries
-        self.q = R.inv_quad(self.s)
-        self.t_conj = np.conj(R.apply_inv(self.s))
-
-        kinds = {sp.kind for sp in specs}
-        self.need_scm = bool(kinds - {NP})
-        self.need_el = bool(kinds & {EL_AMF, CFAR_EL_AMF})
-        self.need_opt = OPT_CFAR_DL_AMF in kinds
-        self.need_persym = PERSYM_AMF in kinds
+        self.block = max(1, min(_BLOCK, _BLOCK_BYTES
+                                // (16 * self.N * (self.K + 1))))
         # factorization route: eigh only when a loading is chosen per trial
         self.spectral = self.need_el or self.need_opt
-        # fixed loadings whose mu0_hat normalizer is needed
-        self.mu0_lams = {sp.lam for sp in specs if sp.kind == CFAR_DL_AMF}
-        self.log_zeta = (estimators.log_zeta_median(self.N, self.K)
-                         if self.need_el else None)
-
-        cfg = opt_config or OptConfig()
-        self.grid_points = cfg.grid_points
-        self.tol = cfg.tol
-        self.flat_rtol = cfg.flat_rtol
-        self.lambda_max = cfg.lambda_max
-
-        # oracle-side constants
-        self.oracle_mu0 = {}
-        self.opt_lambda_star = None
-        for sp in specs:
-            if sp.kind == CFAR_DL_SCMF:
-                self.oracle_mu0[sp.lam] = rmt.deterministic_equivalents(
-                    R, self.s, sp.lam, self.K).mu0
-            elif sp.kind == OPT_CFAR_DL_SCMF:
-                self.opt_lambda_star = lambda_opt(R, self.s, self.K,
-                                                  cfg).lambda_star
-                self.oracle_mu0[self.opt_lambda_star] = \
-                    rmt.deterministic_equivalents(
-                        R, self.s, self.opt_lambda_star, self.K).mu0
-
-        # distinct fixed loadings, in order of first use; lam = 0 serves
-        # scm-amf and the dl-scm-beta normalizer
-        lams = []
-        for sp in specs:
-            if sp.kind == SCM_AMF:
-                lams.append(0.0)
-            elif sp.kind == DL_SCM_BETA:
-                lams += [sp.lam, 0.0]
-            elif sp.kind == OPT_CFAR_DL_SCMF:
-                lams.append(self.opt_lambda_star)
-            elif sp.kind in (DL_AMF, DL_RAW, CFAR_DL_SCMF, CFAR_DL_AMF):
-                lams.append(sp.lam)
-        self.fixed_lams = list(dict.fromkeys(lams))
 
 
 def _reset_state(bitgen, ctr, key, buf, trial):
@@ -244,120 +203,6 @@ def _generate(plan, master_seed, stream, lo, hi, want_amp):
     amp_c = (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2 if want_amp else None
     # y0 is a copy, so dropping the secondaries frees the snapshot array
     return colored[:, :, 0].copy(), colored[:, :, 1:], amp_c
-
-
-def _el_lambda_rows(l, log_zeta):
-    """Vector form of the EL bisection; mirrors estimators._el_root."""
-    B, N = l.shape
-
-    def logg(lam):
-        r = l / (l + lam[:, None])
-        return np.log(r).sum(1) + N - r.sum(1)
-
-    hi = l[:, -1].copy()
-    for _ in range(200):
-        m = logg(hi) - log_zeta > 0.0
-        if not m.any():
-            break
-        hi[m] *= 2.0
-    else:
-        raise NumericalError("EL bracket expansion failed")
-    lo = np.zeros(B)
-    out = np.empty(B)
-    done = np.zeros(B, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = logg(mid) - log_zeta
-        newly = (np.abs(val) <= _EL_FTOL) & ~done
-        out[newly] = mid[newly]
-        done |= newly
-        if done.all():
-            return out
-        act = ~done
-        gt = val > 0.0
-        lo = np.where(act & gt, mid, lo)
-        hi = np.where(act & ~gt, mid, hi)
-    raise NumericalError("EL bisection stalled in batch path")
-
-
-def _opt_lambda_rows(l, w2, plan):
-    """Vector form of optimizer.maximize_over_lambda on kappa_lower_hat.
-
-    Mirrors the scalar grid construction and golden-section iteration so
-    batch and scalar paths agree to rounding.
-    """
-    B, N = l.shape
-    K = plan.K
-    base = plan.base
-    P = plan.grid_points
-
-    def obj(lam):
-        den = l + lam[:, None]
-        d1 = base + lam * (1.0 / den).sum(1) / K
-        psi = (w2 / den).sum(1)
-        num = (w2 * l / den ** 2).sum(1)
-        return d1 ** 2 * psi ** 2 / num
-
-    v0 = obj(np.zeros(B))
-    if plan.lambda_max is None:
-        lam_max = 100.0 * l.mean(1)
-    else:
-        lam_max = np.full(B, float(plan.lambda_max))
-    stop = np.log10(lam_max)
-    step = (stop + 3.0) / (P - 1)
-
-    grid = np.empty((B, P + 1))
-    grid[:, 0] = 0.0
-    best_v = v0.copy()
-    best_j = np.zeros(B, dtype=int)
-    for j in range(P):
-        e = stop if j == P - 1 else -3.0 + j * step
-        lam_j = 10.0 ** e
-        grid[:, j + 1] = lam_j
-        v = obj(lam_j)
-        upd = v > best_v  # strict: ties keep the smaller loading
-        best_v = np.where(upd, v, best_v)
-        best_j = np.where(upd, j + 1, best_j)
-
-    flat = best_v - v0 <= plan.flat_rtol * np.maximum(1.0, np.abs(v0))
-
-    idx_lo = np.maximum(best_j - 1, 0)
-    idx_hi = np.minimum(best_j + 1, P)
-    a = np.take_along_axis(grid, idx_lo[:, None], 1)[:, 0]
-    b = np.take_along_axis(grid, idx_hi[:, None], 1)[:, 0]
-    lam_best = np.take_along_axis(grid, best_j[:, None], 1)[:, 0]
-
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = obj(x1)
-    f2 = obj(x2)
-    for _ in range(200):
-        conv = (b - a) <= plan.tol * np.maximum(np.maximum(np.abs(a),
-                                                           np.abs(b)), 1e-30)
-        act = ~conv & ~flat
-        if not act.any():
-            break
-        m1 = act & (f1 < f2)
-        m2 = act & ~m1
-        a = np.where(m1, x1, a)
-        x1 = np.where(m1, x2, x1)
-        f1 = np.where(m1, f2, f1)
-        nx2 = a + _GOLDEN * (b - a)
-        b = np.where(m2, x2, b)
-        x2 = np.where(m2, x1, x2)
-        f2 = np.where(m2, f1, f2)
-        nx1 = b - _GOLDEN * (b - a)
-        xq = np.where(m1, nx2, nx1)
-        fq = obj(xq)
-        x2 = np.where(m1, xq, x2)
-        f2 = np.where(m1, fq, f2)
-        x1 = np.where(m2, xq, x1)
-        f1 = np.where(m2, fq, f1)
-
-    xs = np.where(f1 >= f2, x1, x2)
-    fs = np.where(f1 >= f2, f1, f2)
-    xs = np.where(best_v >= fs, lam_best, xs)  # grid point still best
-    return np.where(flat, 0.0, xs)
 
 
 def _bordered(plan, y0):
@@ -506,89 +351,20 @@ def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
     '__amp__'. alpha, beta are the affine pieces of the filter output in the
     target amplitude; norm is the per-trial normalizer.
 
-    Trials are drawn and reduced _BLOCK at a time; the loading searches
+    Trials are drawn and reduced a block at a time; the loading searches
     and the spectral forms then run once over the chunk's rows.
     """
     want_amp = mode == "coeff"
     red = _merge([_reduce_block(plan, master_seed, stream, b,
-                                min(b + _BLOCK, hi), want_amp)
-                  for b in range(lo, hi, _BLOCK)])
-    y0 = red["y0"]
-    B = y0.shape[0]
-    K = plan.K
-
+                                min(b + plan.block, hi), want_amp)
+                  for b in range(lo, hi, plan.block)])
+    forms = red
     if plan.spectral:
-        l, w2, wz = red["l"], red["w2"], red["wz"]
-
-        def row_forms(lam_rows, with_mu0):
-            unloaded = lam_rows == 0.0
-            if unloaded.any():
-                detectors.guard_invertible(l[unloaded, 0], l[unloaded, -1])
-            den = l + lam_rows[:, None]
-            alpha = (wz / den).sum(1)
-            beta = (w2 / den).sum(1)
-            mu0h = None
-            if with_mu0:
-                num = (w2 * l / den ** 2).sum(1)
-                d1 = plan.base + lam_rows * (1.0 / den).sum(1) / K
-                mu0h = num / d1 ** 2
-            return alpha, beta, mu0h
-
-        fixed = {lam: row_forms(np.full(B, lam), lam in plan.mu0_lams)
-                 for lam in plan.fixed_lams}
-    else:
-        fixed = {lam: red[lam] for lam in plan.fixed_lams}
-
-    el_forms = None
-    if plan.need_el:
-        lam_el = _el_lambda_rows(l, plan.log_zeta)
-        el_forms = row_forms(
-            lam_el, with_mu0=any(sp.kind == CFAR_EL_AMF for sp in plan.specs))
-    opt_forms = None
-    if plan.need_opt:
-        lam_star = _opt_lambda_rows(l, w2, plan)
-        opt_forms = row_forms(lam_star, with_mu0=True)
-    persym_forms = red.get("persym")
-
+        forms = {**red, **plan.spectral_forms(red["l"], red["w2"],
+                                               red["wz"])}
     out = {}
     for sp in plan.specs:
-        kind = sp.kind
-        if kind == NP:
-            alpha = y0 @ plan.t_conj
-            beta = np.full(B, plan.q)
-            norm = np.full(B, plan.q)
-        elif kind == SCM_AMF:
-            alpha, beta, _ = fixed[0.0]
-            norm = beta
-        elif kind == DL_AMF:
-            alpha, beta, _ = fixed[sp.lam]
-            norm = beta
-        elif kind == DL_SCM_BETA:
-            alpha, beta, _ = fixed[sp.lam]
-            norm = fixed[0.0][1]
-        elif kind == DL_RAW:
-            alpha, beta, _ = fixed[sp.lam]
-            norm = np.ones(B)
-        elif kind == CFAR_DL_SCMF:
-            alpha, beta, _ = fixed[sp.lam]
-            norm = np.full(B, plan.oracle_mu0[sp.lam])
-        elif kind == CFAR_DL_AMF:
-            alpha, beta, norm = fixed[sp.lam]
-        elif kind == EL_AMF:
-            alpha, beta, _ = el_forms
-            norm = beta
-        elif kind == CFAR_EL_AMF:
-            alpha, beta, norm = el_forms
-        elif kind == PERSYM_AMF:
-            alpha, beta, _ = persym_forms
-            norm = beta
-        elif kind == OPT_CFAR_DL_SCMF:
-            alpha, beta, _ = fixed[plan.opt_lambda_star]
-            norm = np.full(B, plan.oracle_mu0[plan.opt_lambda_star])
-        elif kind == OPT_CFAR_DL_AMF:
-            alpha, beta, norm = opt_forms
-        else:
-            raise ConfigError(f"unknown detector kind {kind!r}")
+        alpha, beta, norm = plan.assemble(sp, forms, red["y0"])
         if mode == "h0":
             out[sp.label] = np.abs(alpha) ** 2 / norm
         else:

@@ -2,13 +2,15 @@
 
 The oracle rule maximizes kappa(lam) computed from the true covariance; the
 data-driven rule maximizes its consistent surrogate kappa_lower_hat computed
-from one SCM draw. Both share the same search: an analytic evaluation at
-lam = 0, a 200-point log grid up to 100x the mean eigenvalue, then
-golden-section refinement inside the best grid bracket. Ties break toward
-the smallest loading. The whole grid, lam = 0 included, is evaluated in one
-array call of the objective (rmt and estimators take array loadings), and so
-are the kappa curve and the crossing scan; only the golden steps and the
-crossing's root finder evaluate one loading at a time.
+from one SCM draw. Both share one search, written for B rows at once: an
+analytic evaluation at lam = 0, a 200-point log grid up to 100x the row's
+mean eigenvalue, then golden-section refinement inside the row's best grid
+bracket. Ties break toward the smallest loading. The scalar API is the
+search on one row; the trial engine runs it on every trial of a chunk. The
+objective takes a (B, m) array of loadings: the grid goes in column groups
+(one call for one row), each golden step in one column. The kappa curve
+and the crossing scan are one array call each; only the crossing's root
+finder evaluates one loading at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .results import Curve
 from .scenario import HermitianSpectrum
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# loadings per objective call while a grid is evaluated: B rows take
+# _GRID_CELLS // B columns at a time, so a call's temporaries stay a few MiB
+_GRID_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -34,12 +39,20 @@ class OptConfig:
     tol: float = 1e-4                 # relative, on the bracket width
     flat_rtol: float = 1e-12
 
+    def __post_init__(self):
+        if self.lambda_max is not None and not (
+                math.isfinite(self.lambda_max) and self.lambda_max > 0):
+            raise ConfigError(
+                f"lambda_max must be finite and > 0, got {self.lambda_max}")
+        if self.grid_points < 2:
+            raise ConfigError("grid needs at least 2 points")
+
     def resolved_max(self, eigenvalues):
+        """lambda_max, by default 100x the mean eigenvalue (of each row of a
+        2-D array)."""
         if self.lambda_max is not None:
-            if self.lambda_max <= 0:
-                raise ConfigError("lambda_max must be > 0")
             return float(self.lambda_max)
-        return 100.0 * float(np.mean(eigenvalues))
+        return 100.0 * np.mean(eigenvalues, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -51,66 +64,106 @@ class OptResult:
     converged: bool
 
 
-def golden_refine(objective, lo, hi, tol):
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    evals = 2
-    for _ in range(200):
-        if b - a <= tol * max(abs(a), abs(b), 1e-30):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
+def _log_grid(cfg, eigenvalues):
+    """np.logspace(-3, log10(lambda_max), grid_points) for one spectrum, or
+    one such row per row of a 2-D array of spectra."""
+    tops = np.broadcast_to(cfg.resolved_max(eigenvalues),
+                           np.shape(eigenvalues)[:-1])
+    grid = np.logspace(-3.0, [math.log10(t) for t in tops.flat],
+                       cfg.grid_points, axis=-1)
+    return grid.reshape(tops.shape + (cfg.grid_points,))
+
+
+def search_rows(objective, eigenvalues, config=None):
+    """Grid-then-golden maximization on every row of eigenvalues (B, N).
+
+    Row b searches [0, lambda_max_b] on the grid 0 followed by
+    np.logspace(-3, log10(lambda_max_b), grid_points). objective(lams)
+    takes a (B, m) array of loadings and returns their values (that shape,
+    or one value broadcast to it). Returns the rows lambda_star, objective
+    value, evaluations (grid points plus golden steps), bracket ends and
+    converged. A flat row (no grid point improves on lam = 0 beyond
+    rounding) gets lambda_star = 0 with converged = False.
+    """
+    cfg = config or OptConfig()
+
+    def f(lams):
+        v = np.asarray(objective(lams), dtype=float)
+        return v if v.shape == lams.shape else np.broadcast_to(v, lams.shape)
+
+    B, P = eigenvalues.shape[0], cfg.grid_points
+    grid = np.zeros((B, P + 1))
+    grid[:, 1:] = _log_grid(cfg, eigenvalues)
+    rows = np.arange(B)
+    # the first maximum over the grid: the smallest loading on ties
+    cols = max(1, _GRID_CELLS // B)
+    for j in range(0, P + 1, cols):
+        vals = f(grid[:, j:j + cols])
+        k = np.argmax(vals, axis=1)
+        if j == 0:
+            v0, best, best_v = vals[:, 0], k, vals[rows, k]
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
-        evals += 1
-    # prefer the smaller abscissa on exact ties
-    if f1 >= f2:
-        return x1, f1, evals
-    return x2, f2, evals
+            up = vals[rows, k] > best_v
+            best = np.where(up, j + k, best)
+            best_v = np.where(up, vals[rows, k], best_v)
+    flat = best_v - v0 <= cfg.flat_rtol * np.maximum(1.0, np.abs(v0))
+    lo = np.where(flat, 0.0, grid[rows, np.maximum(best - 1, 0)])
+    hi = np.where(flat, grid[:, 1], grid[rows, np.minimum(best + 1, P)])
+    x = np.where(flat, 0.0, grid[rows, best])
+    fx = np.where(flat, v0, best_v)
+    evals = np.full(B, P + 1)
+    act = ~flat
+    if not act.any():
+        return x, fx, evals, lo, hi, act
+
+    # golden section on [a, b] with interior points x1 < x2; a row stops
+    # once b - a <= tol * b (0 <= a < b) and keeps its values from then on
+    a, b = lo.copy(), hi.copy()
+    width = b - a
+    pts = np.empty((4, B))
+    x1, f1, x2, f2 = pts  # views
+    x1[:], x2[:] = b - _GOLDEN * width, a + _GOLDEN * width
+    f1[:], f2[:] = f(np.stack((x1, x2), axis=1)).T
+    evals += 2 * act
+    for _ in range(200):
+        act &= width > cfg.tol * np.maximum(b, 1e-30)
+        if not act.any():
+            break
+        up = f1 < f2
+        right = act & up        # the peak is right of x1: a moves to x1
+        left = act ^ right      # else b moves to x2
+        np.copyto(a, x1, where=right)
+        np.copyto(b, x2, where=left)
+        # the surviving interior point takes the other slot, and the new
+        # one a + g (b - a) or b - g (b - a) the freed one
+        np.copyto(pts, pts[[2, 3, 0, 1]], where=act)
+        width = b - a
+        step = _GOLDEN * width
+        xq = np.where(up, a + step, b - step)
+        new = np.stack((xq, f(xq[:, None])[:, 0]))
+        np.copyto(pts[2:], new, where=right)
+        np.copyto(pts[:2], new, where=left)
+        evals += act
+    # the smaller loading on exact ties; the grid point if still the best
+    first = f1 >= f2
+    xg, fg = np.where(first, x1, x2), np.where(first, f1, f2)
+    golden = ~flat & ~(best_v >= fg)
+    return (np.where(golden, xg, x), np.where(golden, fg, fx), evals, lo, hi,
+            ~flat)
+
+
+def _one_row(found):
+    x, fx, evals, lo, hi, converged = (v[0] for v in found)
+    return OptResult(lambda_star=float(x), objective_value=float(fx),
+                     evaluations=int(evals), bracket=(float(lo), float(hi)),
+                     converged=bool(converged))
 
 
 def maximize_over_lambda(objective, eigenvalues, config=None):
-    """Grid-then-golden maximization of objective(lam) over [0, lambda_max].
-
-    objective is called first with the whole grid as one float array and
-    must return its values there (an array of the grid's shape, or one
-    value broadcast to it); golden refinement then calls it with scalars.
-    evaluations counts grid points plus golden steps. A flat objective (no
-    grid point improves on lam = 0 beyond rounding) returns lambda_star = 0
-    with converged = False.
-    """
-    cfg = config or OptConfig()
-    if cfg.grid_points < 2:
-        raise ConfigError("grid needs at least 2 points")
-    lam_max = cfg.resolved_max(eigenvalues)
-    grid = np.concatenate((
-        [0.0], np.logspace(-3.0, math.log10(lam_max), cfg.grid_points)))
-    vals = np.broadcast_to(np.asarray(objective(grid), dtype=float),
-                           grid.shape)
-    evals = grid.shape[0]
-    best = int(np.argmax(vals))  # first max = smallest lam on ties
-
-    if vals[best] - vals[0] <= cfg.flat_rtol * max(1.0, abs(vals[0])):
-        return OptResult(lambda_star=0.0, objective_value=float(vals[0]),
-                         evaluations=evals, bracket=(0.0, float(grid[1])),
-                         converged=False)
-
-    lo = grid[best - 1] if best > 0 else 0.0
-    hi = grid[best + 1] if best + 1 < grid.shape[0] else grid[-1]
-    x, fx, used = golden_refine(objective, float(lo), float(hi), cfg.tol)
-    evals += used
-    if vals[best] >= fx:  # grid point still the best seen; keep it
-        x, fx = float(grid[best]), float(vals[best])
-    return OptResult(lambda_star=x, objective_value=float(fx),
-                     evaluations=evals, bracket=(float(lo), float(hi)),
-                     converged=True)
+    """search_rows on one row: maximize objective(lam) over
+    [0, lambda_max], with objective called on (1, m) arrays of loadings."""
+    return _one_row(search_rows(
+        objective, np.asarray(eigenvalues, dtype=float)[None], config))
 
 
 def lambda_opt(R, s, K, config=None):
@@ -121,13 +174,23 @@ def lambda_opt(R, s, K, config=None):
                                 R.eigenvalues, config)
 
 
+def lambda_opt_rows(l, w2, K, config=None):
+    """Adaptive search on B rows of SCM eigenvalues l and weights
+    w2 = |V^H s|^2: maximize kappa_lower_hat on each row."""
+
+    def objective(lams):
+        d1, psi, num = estimators._loaded_rows(l, w2, lams, K)
+        return estimators._kappa_lower(d1, psi, num)
+
+    return search_rows(objective, l, config)
+
+
 def lambda_opt_hat(scm, s, K, config=None):
     """Adaptive loading factor: maximize kappa_lower_hat from one SCM."""
-    if not isinstance(scm, HermitianSpectrum):
-        scm = HermitianSpectrum.from_matrix(scm, label="sample covariance")
-    return maximize_over_lambda(
-        lambda lam: estimators.kappa_lower_hat(scm, s, lam, K),
-        scm.eigenvalues, config)
+    scm, _ = estimators._check(scm, 0.0, K)
+    w2 = np.abs(scm.weights(estimators._as_entries(s))) ** 2
+    return _one_row(lambda_opt_rows(scm.eigenvalues[None], w2[None], K,
+                                    config))
 
 
 def kappa_lambda_curve(R, s, K, lambda_grid=None, config=None):
@@ -138,10 +201,8 @@ def kappa_lambda_curve(R, s, K, lambda_grid=None, config=None):
     if not isinstance(R, HermitianSpectrum):
         R = HermitianSpectrum.from_matrix(R)
     if lambda_grid is None:
-        cfg = config or OptConfig()
-        lambda_grid = np.concatenate((
-            [0.0], np.logspace(-3.0, math.log10(cfg.resolved_max(R.eigenvalues)),
-                               cfg.grid_points)))
+        lambda_grid = np.concatenate(
+            ([0.0], _log_grid(config or OptConfig(), R.eigenvalues)))
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     kap = rmt.kappa(R, s, lambda_grid, K)
     klo = rmt.kappa_lower(R, s, lambda_grid, K)
@@ -162,9 +223,7 @@ def kappa_crossing(R, s, K, level=None, config=None):
     N = R.dim
     if level is None:
         level = 1.0 - N / K
-    cfg = config or OptConfig()
-    grid = np.logspace(-3.0, math.log10(cfg.resolved_max(R.eigenvalues)),
-                       cfg.grid_points)
+    grid = _log_grid(config or OptConfig(), R.eigenvalues)
     vals = rmt.kappa(R, s, grid, K) - level
     best = int(np.argmax(vals))
     below = np.nonzero(vals[best:] < 0.0)[0]

@@ -11,6 +11,10 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
 
+from dlamf import optimizer
+from dlamf.errors import ConfigError, NumericalError
+from dlamf.scenario import HermitianSpectrum, SteeringVector
+
 
 def marcum_q_quadrature(a, b, dps=30):
     """Q_1(a, b) as an mpmath integral of the Rician density.
@@ -133,3 +137,133 @@ def marcum_series_capped(a, b):
         cum += p
     acc += (1.0 - cum) * g
     return min(max(acc, 0.0), 1.0), n
+
+
+# --- scalar detector statistics --------------------------------------------
+#
+# One trial at a time through the SCM eigendecomposition (with its clamped
+# spectrum), one formula per kind. The package computes every kind through
+# one row kernel and a table; these are what it is checked against.
+
+def _entries(s):
+    return s.entries if isinstance(s, SteeringVector) else np.asarray(s)
+
+
+def _spectrum(M, label):
+    if isinstance(M, HermitianSpectrum):
+        return M
+    return HermitianSpectrum.from_matrix(M, label=label)
+
+
+def loaded_forms(scm, s, y0, lam):
+    """(alpha, beta) of the loaded filter: s^H (Rhat+lam)^{-1} y0 and
+    s^H (Rhat+lam)^{-1} s; unloaded forms refuse a singular SCM."""
+    scm = _spectrum(scm, "sample covariance")
+    if lam < 0:
+        raise ConfigError("loading factor must be >= 0")
+    if lam == 0.0 and scm.eigenvalues[0] <= 1e-10 * scm.eigenvalues[-1]:
+        raise NumericalError("sample covariance is numerically singular")
+    w = scm.weights(_entries(s))
+    z = scm.weights(np.asarray(y0))
+    den = scm.eigenvalues + lam
+    alpha = complex(np.sum(w.conj() * z / den))
+    beta = float(np.sum(np.abs(w) ** 2 / den))
+    return alpha, beta
+
+
+def mu0_hat(scm, s, lam, K):
+    """Plug-in mu0: s^H M Rhat M s / D1^2 with M = (Rhat + lam I)^{-1}."""
+    scm = _spectrum(scm, "sample covariance")
+    l = scm.eigenvalues
+    w2 = np.abs(scm.weights(_entries(s))) ** 2
+    d1 = 1.0 - l.shape[0] / K + lam * np.sum(1.0 / (l + lam)) / K
+    return float(np.sum(w2 * l / (l + lam) ** 2) / d1 ** 2)
+
+
+def el_lambda(scm, K):
+    """EL loading by Brent's method on log g(lam) = log zeta_0.5."""
+    l = _spectrum(scm, "sample covariance").eigenvalues
+    N = l.shape[0]
+    target = -N - (K - N) * math.log(1.0 - N / K)
+
+    def defect(lam):
+        r = l / (l + lam)
+        return float(np.sum(np.log(r)) + N - np.sum(r)) - target
+
+    hi = float(l[-1])
+    while defect(hi) > 0.0:
+        hi *= 2.0
+    return brentq(defect, 0.0, hi, xtol=1e-300, rtol=1e-15)
+
+
+def stat_np(R, s, y0):
+    """Clairvoyant matched filter |s^H R^{-1} y0|^2 / s^H R^{-1} s."""
+    R = _spectrum(R, "covariance")
+    t = R.apply_inv(_entries(s))
+    return float(np.abs(t.conj() @ np.asarray(y0)) ** 2
+                 / R.inv_quad(_entries(s)))
+
+
+def stat_dl_family(scm, s, y0, lam, variant="dl-amf"):
+    """Loaded filter divided by the loaded quadratic form ('dl-amf'), the
+    unloaded one ('dl-scm-beta') or nothing ('dl-raw')."""
+    alpha, beta_l = loaded_forms(scm, s, y0, lam)
+    norm = {"dl-amf": lambda: beta_l, "dl-raw": lambda: 1.0,
+            "dl-scm-beta": lambda: loaded_forms(scm, s, y0, 0.0)[1]}
+    return float(np.abs(alpha) ** 2 / norm[variant]())
+
+
+def stat_amf(scm, s, y0):
+    """Unloaded adaptive matched filter."""
+    return stat_dl_family(scm, s, y0, 0.0)
+
+
+def stat_cfar_dl_scmf(scm, R, s, y0, lam, K):
+    """Loaded filter normalized by the oracle mu0(R, s, lam)."""
+    alpha, _ = loaded_forms(scm, s, y0, lam)
+    mu0 = dense_equivalents(R.matrix, _entries(s), lam, K)["mu0"]
+    return float(np.abs(alpha) ** 2 / mu0)
+
+
+def stat_cfar_dl_amf(scm, s, y0, lam, K):
+    """Loaded filter normalized by the plug-in mu0_hat."""
+    alpha, _ = loaded_forms(scm, s, y0, lam)
+    return float(np.abs(alpha) ** 2 / mu0_hat(scm, s, lam, K))
+
+
+def persymmetrize(A):
+    """Average A with its flip-conjugate J conj(A) J (J the exchange
+    matrix): the projection onto persymmetric matrices."""
+    return 0.5 * (A + np.conj(A)[::-1, ::-1])
+
+
+def stat_persymmetric_amf(scm, s, y0):
+    """AMF built on the persymmetrized SCM."""
+    A = scm.matrix if isinstance(scm, HermitianSpectrum) else np.asarray(scm)
+    return stat_amf(HermitianSpectrum.from_matrix(persymmetrize(A)), s, y0)
+
+
+def statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
+    """Reference statistic of a DetectorSpec on one trial. The el kinds
+    find their loading by their own root finder; the opt kinds take theirs
+    from the package's optimizer, which test_optimizer checks."""
+    kind, lam = spec.kind, spec.lam
+    if kind == "np":
+        return stat_np(R, s, y0)
+    if kind == "scm-amf":
+        return stat_amf(scm, s, y0)
+    if kind in ("dl-amf", "dl-scm-beta", "dl-raw"):
+        return stat_dl_family(scm, s, y0, lam, kind)
+    if kind == "persym-amf":
+        return stat_persymmetric_amf(scm, s, y0)
+    if kind in ("el-amf", "cfar-el-amf"):
+        lam = el_lambda(scm, K)
+    elif kind == "opt-cfar-dl-scmf":
+        lam = optimizer.lambda_opt(R, s, K, opt_config).lambda_star
+    elif kind == "opt-cfar-dl-amf":
+        lam = optimizer.lambda_opt_hat(scm, s, K, opt_config).lambda_star
+    if kind == "el-amf":
+        return stat_dl_family(scm, s, y0, lam)
+    if kind in ("cfar-dl-scmf", "opt-cfar-dl-scmf"):
+        return stat_cfar_dl_scmf(scm, R, s, y0, lam, K)
+    return stat_cfar_dl_amf(scm, s, y0, lam, K)

@@ -124,6 +124,18 @@ class TestThreshold:
         assert rc == 2
         assert _stderr_json(capsys)["kind"] == "config"
 
+    @pytest.mark.parametrize("flags,word", [
+        (["--lambda-max", "-1"], "lambda_max"),
+        (["--grid-points", "1"], "grid")])
+    def test_invalid_opt_config(self, tmp_path, capsys, flags, word):
+        # the search settings are checked before any trial runs
+        rc = cli.main(["threshold", "--config", TOEPLITZ,
+                       "--detector", "opt-cfar-dl-amf", "--trials", "100",
+                       "--out", str(tmp_path)] + flags)
+        assert rc == 2
+        msg = _stderr_json(capsys)
+        assert msg["kind"] == "config" and word in msg["error"]
+
 
 class TestPdSweep:
     def test_curves_written(self, tmp_path):

@@ -10,6 +10,8 @@ from dlamf.errors import ConfigError, NumericalError
 from dlamf.scenario import (HermitianSpectrum, Swerling0, sample_dataset,
                             scm, trial_rng)
 
+import oracles
+
 
 def _draw(scen, seed, hypothesis="h0"):
     rng = trial_rng(seed, 0, 0)
@@ -57,6 +59,11 @@ class TestSpec:
             detectors.make_opt_detector("both")
 
 
+def _stat(kind, y0, scen, S, lam=None, R=None):
+    return detectors.evaluate_statistic(DetectorSpec(kind, lam=lam), y0,
+                                        scen.steering, scen.K, scm=S, R=R)
+
+
 class TestLoadedForms:
     def test_against_dense_solve(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=5)
@@ -65,10 +72,17 @@ class TestLoadedForms:
         A = S.matrix + lam * np.eye(scen_n24_k48.N)
         alpha_ref = s.conj() @ np.linalg.solve(A, y0)
         beta_ref = (s.conj() @ np.linalg.solve(A, s)).real
-        alpha, beta = detectors.loaded_forms(S, s, y0, lam)
+        alpha, beta = oracles.loaded_forms(S, s, y0, lam)
         assert alpha == pytest.approx(alpha_ref, rel=1e-10)
         assert beta == pytest.approx(beta_ref, rel=1e-10)
+        a2 = abs(alpha_ref) ** 2
+        assert _stat("dl-raw", y0, scen_n24_k48, S, lam) == pytest.approx(
+            a2, rel=1e-10)
+        assert _stat("dl-amf", y0, scen_n24_k48, S, lam) == pytest.approx(
+            a2 / beta_ref, rel=1e-10)
 
+    # the persymmetrized SCM is clamped, with a warning
+    @pytest.mark.filterwarnings("ignore:persymmetrized SCM:RuntimeWarning")
     def test_zero_loading_singular_guard(self, scen_n24_k48):
         # K < N secondaries make the SCM rank-deficient; unloaded forms
         # must refuse rather than divide by a zero eigenvalue
@@ -76,27 +90,36 @@ class TestLoadedForms:
         ds = sample_dataset(scen_n24_k48, Swerling0(), "h0", rng)
         with pytest.warns(RuntimeWarning):
             S = scm(ds.Y[:, :10])
+        for kind, lam in (("scm-amf", None), ("dl-scm-beta", 1.0),
+                          ("persym-amf", None)):
+            with pytest.raises(NumericalError):
+                _stat(kind, ds.y0, scen_n24_k48, S, lam)
         with pytest.raises(NumericalError):
-            detectors.loaded_forms(S, scen_n24_k48.steering.entries,
-                                   ds.y0, 0.0)
+            oracles.loaded_forms(S, scen_n24_k48.steering.entries, ds.y0,
+                                 0.0)
         # loading rescues the same data
-        detectors.loaded_forms(S, scen_n24_k48.steering.entries, ds.y0, 1.0)
+        assert np.isfinite(_stat("dl-amf", ds.y0, scen_n24_k48, S, 1.0))
 
     def test_negative_lambda(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=5)
+        s = scen_n24_k48.steering.entries
+        for kind in detectors.FIXED_LAMBDA_TAGS:
+            with pytest.raises(ConfigError):
+                DetectorSpec(kind, lam=-1.0)
         with pytest.raises(ConfigError):
-            detectors.loaded_forms(S, scen_n24_k48.steering.entries, y0, -1.0)
+            estimators.estimated_equivalents(S, s, -1.0, scen_n24_k48.K)
+        with pytest.raises(ConfigError):
+            oracles.loaded_forms(S, s, y0, -1.0)
 
 
 class TestStatistics:
     def test_np_unit_exponential(self, scen_n24_k48):
         R = scen_n24_k48.covariance()
-        s = scen_n24_k48.steering.entries
         vals = []
         for t in range(4000):
             rng = trial_rng(17, 0, t)
             ds = sample_dataset(scen_n24_k48, Swerling0(), "h0", rng)
-            vals.append(detectors.stat_np(R, s, ds.y0))
+            vals.append(_stat("np", ds.y0, scen_n24_k48, None, R=R))
         d, _ = sp_stats.kstest(vals, "expon")
         assert d < 0.03
 
@@ -109,31 +132,28 @@ class TestStatistics:
         for t in range(2000):
             rng = trial_rng(21, 0, t)
             ds = sample_dataset(scen_n24_k48, target, "h1", rng)
-            vals.append(detectors.stat_np(R, s, ds.y0))
+            vals.append(_stat("np", ds.y0, scen_n24_k48, None, R=R))
         # mean of |CN(b sqrt(q), 1)|^2-style stat is 1 + |b|^2 q
         assert np.mean(vals) == pytest.approx(1.0 + 4.0 * q, rel=0.1)
 
     def test_amf_is_zero_loaded(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=31)
-        s = scen_n24_k48.steering.entries
-        assert detectors.stat_amf(S, s, y0) == pytest.approx(
-            detectors.stat_dl_family(S, s, y0, 0.0, "dl-amf"), rel=1e-12)
+        assert _stat("scm-amf", y0, scen_n24_k48, S) == pytest.approx(
+            _stat("dl-amf", y0, scen_n24_k48, S, 0.0), rel=1e-12)
 
     def test_dl_variants(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=37)
         s = scen_n24_k48.steering.entries
         lam = 1.5
-        alpha, beta_l = detectors.loaded_forms(S, s, y0, lam)
-        _, beta_0 = detectors.loaded_forms(S, s, y0, 0.0)
+        alpha, beta_l = oracles.loaded_forms(S, s, y0, lam)
+        _, beta_0 = oracles.loaded_forms(S, s, y0, 0.0)
         a2 = abs(alpha) ** 2
-        assert detectors.stat_dl_family(S, s, y0, lam, "dl-amf") == \
-            pytest.approx(a2 / beta_l, rel=1e-12)
-        assert detectors.stat_dl_family(S, s, y0, lam, "dl-scm-beta") == \
-            pytest.approx(a2 / beta_0, rel=1e-12)
-        assert detectors.stat_dl_family(S, s, y0, lam, "dl-raw") == \
-            pytest.approx(a2, rel=1e-12)
-        with pytest.raises(ConfigError):
-            detectors.stat_dl_family(S, s, y0, lam, "dl-other")
+        for kind, norm in (("dl-amf", beta_l), ("dl-scm-beta", beta_0),
+                           ("dl-raw", 1.0)):
+            assert _stat(kind, y0, scen_n24_k48, S, lam) == pytest.approx(
+                a2 / norm, rel=1e-12)
+            assert oracles.stat_dl_family(S, s, y0, lam, kind) == \
+                pytest.approx(a2 / norm, rel=1e-12)
 
     def test_cfar_normalizers(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=41)
@@ -141,23 +161,26 @@ class TestStatistics:
         R = scen_n24_k48.covariance()
         K = scen_n24_k48.K
         lam = 1.5
-        alpha, _ = detectors.loaded_forms(S, s, y0, lam)
+        alpha, _ = oracles.loaded_forms(S, s, y0, lam)
         a2 = abs(alpha) ** 2
         mu0 = rmt.deterministic_equivalents(R, s, lam, K).mu0
-        assert detectors.stat_cfar_dl_scmf(S, R, s, y0, lam, K) == \
+        assert _stat("cfar-dl-scmf", y0, scen_n24_k48, S, lam, R) == \
             pytest.approx(a2 / mu0, rel=1e-12)
-        assert detectors.stat_cfar_dl_amf(S, s, y0, lam, K) == \
+        assert _stat("cfar-dl-amf", y0, scen_n24_k48, S, lam) == \
             pytest.approx(a2 / estimators.mu0_hat(S, s, lam, K), rel=1e-12)
+        assert oracles.mu0_hat(S, s, lam, K) == pytest.approx(
+            estimators.mu0_hat(S, s, lam, K), rel=1e-12)
 
     def test_el_uses_el_lambda(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=43)
         s = scen_n24_k48.steering.entries
         K = scen_n24_k48.K
         lam = estimators.el_lambda(S, K)
-        assert detectors.stat_el(S, s, y0, K, cfar=True) == pytest.approx(
-            detectors.stat_cfar_dl_amf(S, s, y0, lam, K), rel=1e-10)
-        assert detectors.stat_el(S, s, y0, K, cfar=False) == pytest.approx(
-            detectors.stat_dl_family(S, s, y0, lam, "dl-amf"), rel=1e-10)
+        assert lam == pytest.approx(oracles.el_lambda(S, K), rel=1e-9)
+        assert _stat("cfar-el-amf", y0, scen_n24_k48, S) == pytest.approx(
+            oracles.stat_cfar_dl_amf(S, s, y0, lam, K), rel=1e-10)
+        assert _stat("el-amf", y0, scen_n24_k48, S) == pytest.approx(
+            oracles.stat_dl_family(S, s, y0, lam, "dl-amf"), rel=1e-10)
 
     def test_opt_modes(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=47)
@@ -165,11 +188,13 @@ class TestStatistics:
         R = scen_n24_k48.covariance()
         K = scen_n24_k48.K
         lam_or = optimizer.lambda_opt(R, s, K).lambda_star
-        assert detectors.stat_opt_cfar_dl(S, s, y0, K, R=R) == pytest.approx(
-            detectors.stat_cfar_dl_scmf(S, R, s, y0, lam_or, K), rel=1e-10)
+        assert _stat("opt-cfar-dl-scmf", y0, scen_n24_k48, S, R=R) == \
+            pytest.approx(oracles.stat_cfar_dl_scmf(S, R, s, y0, lam_or, K),
+                          rel=1e-10)
         lam_ad = optimizer.lambda_opt_hat(S, s, K).lambda_star
-        assert detectors.stat_opt_cfar_dl(S, s, y0, K) == pytest.approx(
-            detectors.stat_cfar_dl_amf(S, s, y0, lam_ad, K), rel=1e-10)
+        assert _stat("opt-cfar-dl-amf", y0, scen_n24_k48, S) == \
+            pytest.approx(oracles.stat_cfar_dl_amf(S, s, y0, lam_ad, K),
+                          rel=1e-10)
 
     def test_all_kinds_finite_positive(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=53)
@@ -187,26 +212,27 @@ class TestStatistics:
 
 
 class TestPersymmetry:
+    # properties of the reference persymmetrization the engine is checked
+    # against
     def test_projection_properties(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         A = A + A.conj().T
-        P = detectors.persymmetrize(A)
+        P = oracles.persymmetrize(A)
         J = np.eye(8)[::-1]
         assert np.allclose(P, P.conj().T)
         assert np.allclose(J @ P.conj() @ J, P)
-        assert np.allclose(detectors.persymmetrize(P), P)
+        assert np.allclose(oracles.persymmetrize(P), P)
 
     def test_true_covariance_is_fixed_point(self, scen_n24_k48):
         R = scen_n24_k48.covariance().matrix
-        assert np.allclose(detectors.persymmetrize(R), R, atol=1e-12)
+        assert np.allclose(oracles.persymmetrize(R), R, atol=1e-12)
 
     def test_stat_matches_manual(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=59)
-        s = scen_n24_k48.steering.entries
-        P = HermitianSpectrum.from_matrix(detectors.persymmetrize(S.matrix))
-        assert detectors.stat_persymmetric_amf(S, s, y0) == pytest.approx(
-            detectors.stat_amf(P, s, y0), rel=1e-12)
+        P = HermitianSpectrum.from_matrix(oracles.persymmetrize(S.matrix))
+        assert _stat("persym-amf", y0, scen_n24_k48, S) == pytest.approx(
+            oracles.stat_amf(P, scen_n24_k48.steering, y0), rel=1e-12)
 
 
 class TestAccessControl:

@@ -159,7 +159,11 @@ class TestExpectedLikelihood:
             target, abs=1e-9)
 
     def test_el_root_vacuous(self):
-        assert estimators._el_root(np.ones(8), 0.1) is None
+        # a median at or above g(0) = 1 leaves no positive root: every row
+        # of the bisection gets lam = 0, with a warning
+        with pytest.warns(RuntimeWarning, match="EL median"):
+            lam = estimators._el_rows(np.ones((3, 8)), 0.1)
+        np.testing.assert_array_equal(lam, np.zeros(3))
 
 
 class TestTheta:

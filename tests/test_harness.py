@@ -3,19 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlamf import detectors, harness, theory
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
-from dlamf.optimizer import lambda_opt
+from dlamf.optimizer import OptConfig, lambda_opt
 from dlamf.harness import (TrialConfig, _BatchPlan, _eval_chunk, _generate,
                            calibrate_threshold, detection_loss_table,
                            empirical_pdf, estimate_pd, h0_statistics,
                            pd_evaluator, pd_vs_scnr_sweep, scnr_at_pd,
                            threshold_from_stats, wilson_ci)
 from dlamf.scenario import (LowRankClutter, Scenario, Swerling0, Swerling1,
-                            sample_dataset, scm, trial_rng)
+                            ToeplitzClutter, sample_dataset, scm, trial_rng)
 
+import oracles
 from conftest import toeplitz_scenario
 
 
@@ -71,6 +74,15 @@ class TestTrialConfig:
         assert TrialConfig(scen_n24_k48, one, trials=5).spec_list() == [one]
         two = [one, DetectorSpec("scm-amf")]
         assert TrialConfig(scen_n24_k48, two, trials=5).spec_list() == two
+
+    @pytest.mark.parametrize("bad", [{"lambda_max": -1.0},
+                                     {"grid_points": 1}])
+    def test_invalid_opt_config_rejected(self, bad):
+        # the engine and evaluate_statistic reject the same search settings
+        with pytest.raises(ConfigError):
+            h0_statistics(toeplitz_scenario(8, 16),
+                          [DetectorSpec("opt-cfar-dl-amf")], 8,
+                          master_seed=0, opt_config=OptConfig(**bad))
 
     def test_duplicate_labels_rejected(self, scen_n24_k48):
         specs = [DetectorSpec("dl-amf", lam=1.5),
@@ -174,14 +186,15 @@ class TestBatchScalarAgreement:
                                 trial_rng(11, 0, t))
             S = scm(ds)
             for sp in specs:
-                R_arg = R if sp.kind in detectors.ORACLE_TAGS \
-                    or sp.kind == "np" else None
-                ref = detectors.evaluate_statistic(
-                    sp, ds.y0, s, K, scm=None if sp.kind == "np" else S,
-                    R=R_arg)
+                R_arg = R if sp.kind in detectors.ORACLE_TAGS else None
+                S_arg = None if sp.kind == "np" else S
+                ref = oracles.statistic(sp, ds.y0, s, K, scm=S_arg, R=R_arg)
+                one = detectors.evaluate_statistic(sp, ds.y0, s, K,
+                                                   scm=S_arg, R=R_arg)
                 rtol = 1e-6 if "opt" in sp.kind else 1e-7
                 assert batch[sp.label][t] == pytest.approx(ref, rel=rtol), \
                     (sp.label, t)
+                assert one == pytest.approx(ref, rel=rtol), (sp.label, t)
 
     @pytest.mark.parametrize("mode", ["h0", "coeff"])
     def test_routes_agree(self, scen_n24_k48, mode):
@@ -226,9 +239,9 @@ class TestSingularScm:
         with pytest.raises(NumericalError):
             h0_statistics(scen, specs, 16, master_seed=0)
         ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, 0))
-        with pytest.raises(NumericalError):
-            detectors.evaluate_statistic(specs[-1], ds.y0, scen.steering,
-                                         scen.K, scm=scm(ds))
+        for path in (detectors.evaluate_statistic, oracles.statistic):
+            with pytest.raises(NumericalError):
+                path(specs[-1], ds.y0, scen.steering, scen.K, scm=scm(ds))
 
     def test_el_kinds_match_scalar(self):
         # the batch EL search clamps the spectrum as the scalar path does
@@ -237,11 +250,15 @@ class TestSingularScm:
         batch = h0_statistics(scen, specs, 8, master_seed=0)
         for t in range(8):
             ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, t))
+            S = scm(ds)
             for sp in specs:
-                ref = detectors.evaluate_statistic(sp, ds.y0, scen.steering,
-                                                   scen.K, scm=scm(ds))
+                ref = oracles.statistic(sp, ds.y0, scen.steering, scen.K,
+                                        scm=S)
+                one = detectors.evaluate_statistic(sp, ds.y0, scen.steering,
+                                                   scen.K, scm=S)
                 assert batch[sp.label][t] == pytest.approx(ref, rel=1e-7), \
                     (sp.label, t)
+                assert one == pytest.approx(ref, rel=1e-7), (sp.label, t)
 
     def test_loaded_kinds_still_run(self):
         # the guard covers unloaded forms only, as in the scalar path
@@ -250,6 +267,75 @@ class TestSingularScm:
         for specs in ([dl], [dl, DetectorSpec("el-amf")]):
             stats = h0_statistics(scen, specs, 16, master_seed=0)
             assert np.all(np.isfinite(stats[dl.label]))
+
+
+def _outcome(fn):
+    """fn's value, or the class of the ConfigError/NumericalError it raised."""
+    try:
+        return fn()
+    except (ConfigError, NumericalError) as exc:
+        return type(exc)
+
+
+_EDGE_CLUTTER = st.one_of(
+    st.builds(ToeplitzClutter, clutter_power=st.sampled_from([10.0, 1e6]),
+              one_lag=st.sampled_from([0.5, 0.99, 0.9999])),
+    st.builds(LowRankClutter, patch_angles_deg=st.just((0.0, 30.0)),
+              patch_powers=st.sampled_from([(10.0, 10.0), (1e6, 1e3)])))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEdgeProperties:
+    """Both routes against the references at the edges of the regime:
+    K = N + 1, clutter 60 dB over the noise, one-lag correlation near 1 and
+    low-rank clutter. Each set either agrees trial by trial or fails with
+    an error class the references raise on one of its trials."""
+
+    @given(N=st.integers(2, 8), extra=st.sampled_from([1, 2, 8]),
+           clutter=_EDGE_CLUTTER, theta=st.floats(-60.0, 60.0),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=15, deadline=None)
+    def test_routes_match_references(self, N, extra, clutter, theta, seed):
+        scen = Scenario(N=N, K=N + extra, clutter=clutter, noise_power=1.0,
+                        steering_deg=theta)
+        R = scen.covariance()
+        trials = 4
+        draws = [sample_dataset(scen, Swerling0(), "h0",
+                                trial_rng(seed, 0, t)) for t in range(trials)]
+        fixed = [DetectorSpec(k) for k in ("np", "scm-amf", "persym-amf",
+                                           "opt-cfar-dl-scmf")]
+        fixed += [DetectorSpec(k, lam=1.5)
+                  for k in ("dl-amf", "dl-scm-beta", "dl-raw",
+                            "cfar-dl-scmf", "cfar-dl-amf")]
+        searched = [DetectorSpec(k) for k in ("el-amf", "cfar-el-amf",
+                                              "opt-cfar-dl-amf")]
+        for sp in fixed + searched:
+            # alone on the Cholesky route (the searched kinds go spectral),
+            # and with el-amf on the spectral route
+            for specs in ([sp], [sp, searched[0]]):
+                if len(specs) == 2 and sp == searched[0]:
+                    continue
+                self._check(scen, R, specs, draws, seed)
+
+    @staticmethod
+    def _check(scen, R, specs, draws, seed):
+        batch = _outcome(lambda: h0_statistics(scen, specs, len(draws),
+                                               master_seed=seed))
+        refs = {sp.label: [_outcome(lambda: oracles.statistic(
+            sp, ds.y0, scen.steering, scen.K,
+            scm=None if sp.kind == "np" else scm(ds),
+            R=R if sp.kind in detectors.ORACLE_TAGS else None))
+            for ds in draws] for sp in specs}
+        if isinstance(batch, type):
+            assert any(r is batch for rs in refs.values() for r in rs), \
+                (specs, batch, refs)
+            return
+        for sp in specs:
+            rtol = 1e-6 if "opt" in sp.kind else 1e-7
+            for t, ref in enumerate(refs[sp.label]):
+                assert not isinstance(ref, type), (sp.label, t, ref)
+                assert batch[sp.label][t] == pytest.approx(ref, rel=rtol), \
+                    (sp.label, t)
 
 
 class TestDeterminism:
@@ -326,6 +412,16 @@ class TestChunkMemory:
                     for k in ("dl-amf", "cfar-dl-amf", "cfar-dl-scmf")])
         plan = _BatchPlan(toeplitz_scenario(48, 64), specs)
         assert self._peak_mib(plan, 2560, "coeff") < 96
+
+    def test_large_array_blocks_sized_in_bytes(self):
+        # at N = 128, K = 256 a block of 256 trials held 134 MB per copy of
+        # its snapshots, and the chunk peaked at 323 MiB
+        specs = ([DetectorSpec(k) for k in ("np", "scm-amf", "persym-amf")]
+                 + [DetectorSpec(k, lam=1.5)
+                    for k in ("dl-amf", "cfar-dl-amf", "cfar-dl-scmf")])
+        plan = _BatchPlan(toeplitz_scenario(128, 256), specs)
+        assert plan.block < harness._BLOCK
+        assert self._peak_mib(plan, 256, "coeff") < 96
 
     def test_criterion4_set(self, scen_n24_k48):
         # criterion 4's CFAR set in one 4096-trial chunk; 198.8 MiB whole

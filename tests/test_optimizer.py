@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -12,17 +11,25 @@ from conftest import lowrank_scenario, toeplitz_scenario
 
 
 class TestGoldenRefine:
+    # the golden refinement of the row search: each row of a batch is
+    # refined inside its own best grid bracket
     def test_analytic_parabola(self):
-        x, fx, evals = optimizer.golden_refine(
-            lambda t: -(t - 2.7) ** 2, 0.0, 10.0, 1e-10)
-        assert x == pytest.approx(2.7, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
-        assert evals < 80
+        peaks = np.array([2.7, 6.1])
+        x, fx, evals, lo, hi, converged = optimizer.search_rows(
+            lambda t: -(t - peaks[:, None]) ** 2, np.ones((2, 4)),
+            OptConfig(lambda_max=10.0, tol=1e-10))
+        np.testing.assert_allclose(x, peaks, atol=1e-8)
+        np.testing.assert_allclose(fx, 0.0, atol=1e-15)
+        assert np.all(converged) and np.all((lo < peaks) & (peaks < hi))
+        assert np.all(evals - 201 < 80)
 
     def test_skewed_peak(self):
-        f = lambda t: math.exp(-abs(t - 0.3) * (3.0 if t > 0.3 else 0.5))
-        x, _, _ = optimizer.golden_refine(f, 0.0, 5.0, 1e-9)
-        assert x == pytest.approx(0.3, abs=1e-7)
+        def f(t):
+            return np.exp(-np.abs(t - 0.3) * np.where(t > 0.3, 3.0, 0.5))
+
+        x, _, _, _, _, _ = optimizer.search_rows(
+            f, np.ones((1, 4)), OptConfig(lambda_max=5.0, tol=1e-9))
+        assert x[0] == pytest.approx(0.3, abs=1e-7)
 
 
 class TestOptConfig:
@@ -53,6 +60,8 @@ class TestMaximize:
         assert not res.converged
 
     def test_grid_in_one_call_then_scalars(self):
+        # one row: the grid in one call, then the golden steps, one
+        # loading each after the first pair
         calls = []
 
         def objective(t):
@@ -61,11 +70,12 @@ class TestMaximize:
 
         res = optimizer.maximize_over_lambda(objective, np.ones(4))
         grid = calls[0]
-        assert isinstance(grid, np.ndarray) and grid.shape == (201,)
-        assert grid[0] == 0.0 and grid[-1] == pytest.approx(100.0)
-        assert all(np.ndim(t) == 0 for t in calls[1:])
+        assert isinstance(grid, np.ndarray) and grid.shape == (1, 201)
+        assert grid[0, 0] == 0.0 and grid[0, -1] == pytest.approx(100.0)
+        assert calls[1].shape == (1, 2)
+        assert all(t.shape == (1, 1) for t in calls[2:])
         assert res.converged
-        assert res.evaluations == grid.shape[0] + len(calls) - 1
+        assert res.evaluations == sum(t.size for t in calls)
 
     def test_interior_peak(self):
         res = optimizer.maximize_over_lambda(
