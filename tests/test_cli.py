@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -296,3 +297,104 @@ class TestReproduce:
         assert summary["kappa_at_lambda_0"] == pytest.approx(0.9243,
                                                              abs=1e-3)
         assert summary["crossing"] is None  # stays above 1 - c here
+
+
+# Every reproduce item at tiny budgets; pins the output names in order, the
+# manifest notes and the CSV bytes, so a change of how the items are built
+# must leave what they write alone.
+TINY_BUDGETS = {"threshold": 400, "pd": 64, "hist": 400}
+# item: (number of outputs, sha256 of their names joined by newlines in
+# manifest order, sha256 of the CSV bytes in sorted name order, notes
+# beyond item/fast/budgets); recorded with numpy 2.4.6 and scipy 1.17.1
+PINNED = {
+    "fig1": (18,
+        "2b7cb1c57e2a57acfb95e308ef87178f4ab5bf3813ad3a5a0dbc69448d49b492",
+        "7395d004534b0e0af8f3476796a9e8262cd5210a845caa9c58bde1bf7c52c67e",
+        {}),
+    "fig2": (24,
+        "17fa19dd1d0869f0672ce53b455d08908cc88b820ddc1f34055bd996300ac16c",
+        "5e84fe41836562a429c51e7c2bf28dd71d2d286b1d49db519cd16fdaba0c902f",
+        {}),
+    "fig5": (25,
+        "9517a20bb1cd0eb2f0d652784d620a62ae9682cbc1c520fed4cd867d3de5604b",
+        "9bf5ab9a5ebf69779b555ffdd0326d52e6f89968d97e089e2053f0135d0d0680",
+        {"fig5": {"crossing": None,
+                  "kappa_at_lambda_0": 0.9243053424193616,
+                  "kappa_inf": 0.791197459603113,
+                  "lambda_0": 4.275415672043995,
+                  "one_minus_c": 0.75}}),
+    "fig6": (25,
+        "ef80d418f2716ea844a654e1e5037b5183cbe2c1292696aa40200fa1d65154be",
+        "38b37a4242ad2f78f28f43813438502acf8f37445a82c3c31e7515e5941eb4fc",
+        {"fig6": {"crossing": 30.12669300772066,
+                  "kappa_at_lambda_0": 0.9109616595431766,
+                  "kappa_inf": 0.33224517254468505,
+                  "lambda_0": 3.121801982241552,
+                  "one_minus_c": 0.75}}),
+    "fig7": (25,
+        "49ffb91dace228f834ceba8b1253bf45428aa8989005df782cb5f4255b7c445d",
+        "c493c8f50fb464ec72518b3d67efcdd9957e1f8460a6bd39f9e733eebcab125d",
+        {"fig7": {"crossing": None,
+                  "kappa_at_lambda_0": 0.806360489174485,
+                  "kappa_inf": 0.33224517254468505,
+                  "lambda_0": 6.468551353016748,
+                  "one_minus_c": 0.07692307692307687}}),
+    "fig8": (18,
+        "91916656ba2a9bd3e9e5e04a7395a5371b379c9f0b0398a7282217c272019905",
+        "062e5df0c9b6ac64c4e04ada211cb17a9083f79f932a7b733ce6f49fc78d1f87",
+        {}),
+    "fig9": (18,
+        "d20175d47dde436a778707b55ea890dbb241ef16ab6198c0ff4e31876093a60c",
+        "da05db311128f58c9e03f1bff5ac7148ffa68175f2267af47d422d70eb97ac4e",
+        {}),
+    "fig10": (10,
+        "ac38abbc112c0728ed2a832ee815724a69f39c8e96adda1680a58a22d4dfa172",
+        "47c6a51a3eab86dc98e7edfd7b8261362600523795edb06762dd42fa7d3cbb4c",
+        {}),
+    "fig11": (18,
+        "6bb76fe62596891ac103fc4f49b8f2d6257d0c347e65b8b87ed5203dcd6c2e9b",
+        "a9804765399c94bfefafbc564b3390b42e908b1f2fbb1435a1d9c35aacc8bb8a",
+        {"clutter_power_sweep": [1.0, 10.0, 100.0]}),
+    "fig12": (8,
+        "fe921c26bead7ab97dd0dffb45038bff60d96a79a8c809b3ab6d0d28131d64a3",
+        "dc74fd72d575b173a1afa760fdc3748f3c88857aa94a2b2f55336b4f344c198b",
+        {}),
+    "fig13": (12,
+        "384618b27c0f8a2c48eb18d6fe865a088a239d403ceb7741a8b8a9b2ba884803",
+        "f4ae2919a4e732dbfc3b73f0255f8ad6750e54775513b772b83fd9efa02d5901",
+        {}),
+    "fig14": (10,
+        "97bd7dbe9ce9929d3b218198ea305075e9c33d6fcaf2b764650643bb48714d3d",
+        "1a01809fe39f031d156d166c337ba7b94a26973fc653a638a5d5538dd1fca19e",
+        {"lambda_opt": 11.921143337234207}),
+    "table2": (1,
+        "e1c81ee75ae8a95b729cda11d8e0363af1f91afa9e2f35f2cb5e08ecad49f9c7",
+        "5e538382a88899243000921595cc5438c40baffd298d025006bcf5f3d057878f",
+        {}),
+    "table3": (1,
+        "1efca3e6f4fb77b9966341e2b1b3311256f3d11d2587d4c24661480ac519872a",
+        "18254393101b7987f8f0ecf6a4bda45aa1cc07ffff20def057e75f286c14071a",
+        {}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("item", sorted(cli.REPRODUCE_ITEMS))
+def test_reproduce_item_pinned(tmp_path, monkeypatch, item):
+    monkeypatch.setattr(cli, "FAST_BUDGETS", TINY_BUDGETS)
+    out = tmp_path / item
+    rc = cli.main(["reproduce", item, "--fast", "--pfa", "0.05",
+                   "--seed", "1234", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    outputs = doc["outputs"]
+    body = hashlib.sha256()
+    for name in sorted(outputs):
+        body.update((out / name).read_bytes())
+    n, names_sha, body_sha, notes = PINNED[item]
+    assert len(outputs) == n, outputs
+    assert hashlib.sha256("\n".join(outputs).encode()).hexdigest() \
+        == names_sha, outputs
+    assert body.hexdigest() == body_sha
+    assert doc["notes"] == {"item": item, "fast": True,
+                            "budgets": TINY_BUDGETS, **notes}
