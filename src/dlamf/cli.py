@@ -20,23 +20,28 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, harness, optimizer, rmt, theory
-from .detectors import (CFAR_EL_AMF, EL_AMF, FIXED_LAMBDA_TAGS, NP,
-                        OPT_CFAR_DL_AMF, OPT_CFAR_DL_SCMF, PERSYM_AMF,
-                        SCM_AMF, DetectorSpec)
+from .detectors import (CFAR_DL_AMF, CFAR_DL_SCMF, CFAR_EL_AMF, CFAR_TAGS,
+                        DL_AMF, DL_RAW, DL_SCM_BETA, EL_AMF,
+                        FIXED_LAMBDA_TAGS, NP, OPT_CFAR_DL_AMF,
+                        OPT_CFAR_DL_SCMF, PERSYM_AMF, SCM_AMF, DetectorSpec)
 from .errors import ConfigError, NumericalError
 from .harness import TrialConfig
 from .optimizer import OptConfig
+from .results import Curve
 from .scenario import (LowRankClutter, Scenario, ToeplitzClutter,
                        scenario_from_json)
 
 FULL_BUDGETS = {"threshold": 100_000, "pd": 10_000, "hist": 100_000}
 FAST_BUDGETS = {"threshold": 10_000, "pd": 1_000, "hist": 10_000}
+LOSS_COLUMNS = ("detector", "kind", "target", "tau", "scnr_db", "loss_db")
 
 # low-rank clutter: nine unit-power patches at these bearings, 10 dB each
 LOWRANK_ANGLES = (0.0, 5.0, 5.0, 10.0, 25.0, 25.0, 30.0, 30.0, 60.0)
@@ -87,6 +92,14 @@ def _write_curve(path, curve):
 def _write_hist(path, hist):
     _write_csv(path, ("x", "y"),
                zip(hist.bin_centers, hist.density))
+
+
+def _write_kappa(path, curve):
+    """The kappa table of an optimizer.kappa_lambda_curve."""
+    one_minus_c = curve.meta["one_minus_c"]
+    _write_csv(path, ("lambda", "kappa", "kappa_lower", "one_minus_c"),
+               ((lam, k, klo, one_minus_c) for lam, k, klo in
+                zip(curve.x, curve.y, curve.meta["kappa_lower"])))
 
 
 def _digest(doc):
@@ -219,13 +232,8 @@ def cmd_kappa(args, argv):
     if grid[0] != 0.0:
         grid = np.concatenate(([0.0], grid))
     run = _Run(argv, args.out, doc)
-    curve = optimizer.kappa_lambda_curve(scen.covariance(), scen.steering,
-                                         scen.K, lambda_grid=grid)
-    one_minus_c = curve.meta["one_minus_c"]
-    _write_csv(run.path("kappa.csv"),
-               ("lambda", "kappa", "kappa_lower", "one_minus_c"),
-               ((lam, k, klo, one_minus_c) for lam, k, klo in
-                zip(curve.x, curve.y, curve.meta["kappa_lower"])))
+    _write_kappa(run.path("kappa.csv"), optimizer.kappa_lambda_curve(
+        scen.covariance(), scen.steering, scen.K, lambda_grid=grid))
     run.finish({"seed": None, "detectors": []})
     return 0
 
@@ -261,17 +269,15 @@ def cmd_pd_sweep(args, argv):
     scen, target, doc = _load_scenario(args.config)
     specs = _parse_detectors(args.detector, args.lam)
     grid = _parse_scnr_grid(args.scnr_db)
-    ocfg = _opt_config(args)
     cal = TrialConfig(scenario=scen, detector=specs,
                       trials=args.threshold_trials, master_seed=args.seed,
-                      pfa_pre=args.pfa, workers=args.workers, opt_config=ocfg)
-    pd_cfg = TrialConfig(scenario=scen, detector=specs, trials=args.trials,
-                         master_seed=args.seed, pfa_pre=args.pfa,
-                         workers=args.workers, opt_config=ocfg)
+                      pfa_pre=args.pfa, workers=args.workers,
+                      opt_config=_opt_config(args))
     run = _Run(argv, args.out, doc, notes={"target": target})
     taus = harness.calibrate_threshold(cal)
     curves = harness.pd_vs_scnr_sweep(
-        pd_cfg, {sp.label: taus[sp.label].tau for sp in specs}, grid, target)
+        replace(cal, trials=args.trials),
+        {sp.label: taus[sp.label].tau for sp in specs}, grid, target)
     for sp in specs:
         _write_curve(run.path(f"pd_{_slug(sp.label)}.csv"), curves[sp.label])
     run.finish({"seed": args.seed, "pfa": args.pfa, "trials": args.trials,
@@ -288,10 +294,8 @@ def cmd_loss_table(args, argv):
         scen, specs, pfa_pre=args.pfa, threshold_trials=args.threshold_trials,
         pd_trials=args.trials, master_seed=args.seed, pd_target=args.pd,
         workers=args.workers, opt_config=_opt_config(args))
-    _write_csv(run.path("loss_table.csv"),
-               ("detector", "kind", "target", "tau", "scnr_db", "loss_db"),
-               [(r["detector"], r["kind"], r["target"], r["tau"],
-                 r["scnr_db"], r["loss_db"]) for r in rows])
+    _write_csv(run.path("loss_table.csv"), LOSS_COLUMNS,
+               ([r[c] for c in LOSS_COLUMNS] for r in rows))
     run.finish({"seed": args.seed, "pfa": args.pfa, "trials": args.trials,
                 "threshold_trials": args.threshold_trials,
                 "detectors": sorted({r["detector"] for r in rows})})
@@ -299,6 +303,84 @@ def cmd_loss_table(args, argv):
 
 
 # --- reproduction presets --------------------------------------------------
+#
+# Each reproduce item is one row of a table, and each table has one
+# interpreter: HIST_ITEMS (h0 histograms against an exponential density),
+# CURVE_ITEMS (Pd against SCNR for both target models, against the
+# asymptotic Pd) and LOSS_ITEMS (SCNR-loss tables). Scenarios are Toeplitz
+# (rho 0.95, theta 20 deg, clutter power 10) unless a row says otherwise,
+# and fixed-loading detectors load with LAM.
+
+LAM = 1.5
+TARGETS = ("swerling0", "swerling1")
+RHOS = (0.1, 0.5, 0.95)
+# sigma_c^2 sweep values are a preset choice, recorded in the manifest
+CLUTTER_POWERS = (1.0, 10.0, 100.0)
+RHO_THETA_LAM = (("a", "rho", RHOS), ("b", "theta", (0.0, 5.0, 20.0)),
+                 ("c", "lam", (1.5, 5.0, 10.0)))
+
+
+class Histograms(NamedTuple):
+    """h0 histograms of tags at N=24, K=48: a panel (letter, parameter,
+    values) sweeps rho, theta, clutter_power or lam, one run per value."""
+    panels: tuple
+    tags: tuple
+    notes: tuple = ()   # (key, value) pairs for the manifest
+
+
+class Curves(NamedTuple):
+    """Pd on the 0:1:top_db dB SCNR grid, one scenario per panel (letter,
+    N, K, theta). A theory curve is (file label, the loading its kappa comes
+    from): None for the clairvoyant filter (kappa 1), 0 for the SCM
+    (1 - c), "opt" for lambda_opt, else kappa at that loading. With cfar
+    the theory is theory.cfar_dl_pd at the CFAR threshold, else the ROC.
+    A kappa profile replaces tags and theory by dl-amf at its loadings
+    ("opt": lambda_opt to 2 decimals), scm-amf and np, and adds the kappa
+    table and a design summary."""
+    panels: tuple
+    top_db: float
+    tags: tuple = ()
+    theory: tuple = ()
+    cfar: bool = False
+    profile: tuple = ()
+
+
+HIST_ITEMS = {
+    "fig1": Histograms(RHO_THETA_LAM, (DL_AMF,)),
+    "fig8": Histograms(RHO_THETA_LAM, (CFAR_DL_SCMF,)),
+    "fig9": Histograms(RHO_THETA_LAM, (CFAR_DL_AMF,)),
+    "fig11": Histograms(
+        (("ab", "rho", RHOS), ("cd", "clutter_power", CLUTTER_POWERS)),
+        (EL_AMF, CFAR_EL_AMF),
+        (("clutter_power_sweep", CLUTTER_POWERS),)),
+    "fig13": Histograms((("", "rho", RHOS),),
+                        (OPT_CFAR_DL_SCMF, OPT_CFAR_DL_AMF)),
+}
+
+CURVE_ITEMS = {
+    "fig2": Curves((("a", 12, 24, 20.0), ("b", 24, 48, 20.0)), 20.0,
+                   (DL_AMF, DL_SCM_BETA, DL_RAW, NP),
+                   (("dl-family", LAM), (NP, None))),
+    "fig5": Curves((("", 12, 48, 20.0),), 24.0,
+                   profile=(0.5, "opt", 20.0, 100.0)),
+    "fig6": Curves((("", 12, 48, 5.0),), 30.0,
+                   profile=(0.5, "opt", 20.0, 200.0)),
+    "fig7": Curves((("", 12, 13, 5.0),), 30.0,
+                   profile=(0.5, "opt", 20.0, 200.0)),
+    "fig10": Curves((("", 24, 48, 20.0),), 20.0,
+                    (CFAR_DL_SCMF, CFAR_DL_AMF, NP),
+                    (("cfar-dl", LAM), (NP, None)), cfar=True),
+    "fig12": Curves((("", 24, 48, 20.0),), 20.0, (EL_AMF, CFAR_EL_AMF, NP),
+                    ((NP, None),)),
+    "fig14": Curves((("", 24, 48, 20.0),), 20.0,
+                    (OPT_CFAR_DL_SCMF, OPT_CFAR_DL_AMF, NP),
+                    (("opt-dl", "opt"), (NP, None))),
+}
+
+# SCNR-loss tables at N=24 and K=48, 28, item -> scenario builder
+LOSS_TAGS = (SCM_AMF, PERSYM_AMF, CFAR_EL_AMF, OPT_CFAR_DL_SCMF,
+             OPT_CFAR_DL_AMF)
+
 
 def _scen_toeplitz(N, K, rho=0.95, theta=20.0, clutter_power=10.0):
     return Scenario(N=N, K=K, clutter=ToeplitzClutter(clutter_power, rho),
@@ -312,289 +394,116 @@ def _scen_lowrank(N, K, theta=20.0):
                     noise_power=1.0, steering_deg=theta)
 
 
-def _exp_density_curve(scale, x_hi, n=201):
-    xs = np.linspace(0.0, x_hi, n)
-    from .results import Curve
-    return Curve(x=xs, y=np.exp(-xs / scale) / scale, label="theory")
+LOSS_ITEMS = {"table2": _scen_toeplitz, "table3": _scen_lowrank}
 
 
-def _hist_series(run, name, scenario, specs, trials, seed, workers,
-                 theory_scales):
-    """One h0 histogram per spec plus exponential overlays."""
-    cfg = TrialConfig(scenario=scenario, detector=specs, trials=trials,
-                      master_seed=seed, workers=workers)
-    hists = harness.empirical_pdf(cfg, bins=60)
-    if isinstance(cfg.detector, DetectorSpec):
-        hists = {cfg.detector.label: hists}
-    for sp in specs:
-        h = hists[sp.label]
-        tag = f"{name}_{_slug(sp.label)}"
-        _write_hist(run.path(f"{tag}.csv"), h)
-        scale = theory_scales.get(sp.label)
-        if scale is not None:
-            _write_curve(run.path(f"{tag}_theory.csv"),
-                         _exp_density_curve(scale, float(h.bin_edges[-1])))
+def _specs(tags, lam=LAM):
+    return [DetectorSpec(t, lam) if t in FIXED_LAMBDA_TAGS else DetectorSpec(t)
+            for t in tags]
 
 
-def _mc_pd_curves(run, name, scenario, specs, grid_db, budgets, seed, workers,
-                  pfa, targets=("swerling0", "swerling1")):
-    """Calibrate all specs, then sweep SCNR once per point for all targets."""
-    cal = TrialConfig(scenario=scenario, detector=specs,
-                      trials=budgets["threshold"], master_seed=seed,
-                      pfa_pre=pfa, workers=workers)
-    taus = harness.calibrate_threshold(cal)
-    pd_cfg = TrialConfig(scenario=scenario, detector=specs,
-                         trials=budgets["pd"], master_seed=seed, pfa_pre=pfa,
-                         workers=workers)
-    acc = {t: {sp.label: ([], [], []) for sp in specs} for t in targets}
-    plan = harness._BatchPlan(scenario, specs)
-    for i, db in enumerate(grid_db):
-        ev = harness.pd_evaluator(pd_cfg, stream=1 + i, plan=plan)
-        scnr = float(harness.db_to_linear(db))
-        for t in targets:
+def _histograms(run, item, row, budgets, seed, workers, pfa):
+    run.notes.update(row.notes)
+    for panel, key, values in row.panels:
+        for val in values:
+            over = {key: val}
+            specs = _specs(row.tags, over.pop("lam", LAM))
+            scen = _scen_toeplitz(24, 48, **over)
+            cfg = TrialConfig(scenario=scen, detector=specs,
+                              trials=budgets["hist"], master_seed=seed,
+                              workers=workers)
+            hists = harness.empirical_pdf(cfg, bins=60)
             for sp in specs:
-                p, (lo, hi) = ev.pd(sp.label, taus[sp.label].tau, scnr, t)
-                ys, los, his = acc[t][sp.label]
-                ys.append(p)
-                los.append(lo)
-                his.append(hi)
-    from .results import Curve
-    for t in targets:
-        for sp in specs:
-            ys, los, his = acc[t][sp.label]
-            _write_curve(run.path(f"{name}_{t}_mc_{_slug(sp.label)}.csv"),
-                         Curve(x=grid_db, y=ys, ci_lo=los, ci_hi=his))
-    return taus
+                h = hists[sp.label]
+                name = f"{item}{panel}_{key}{val:g}_{_slug(sp.label)}"
+                _write_hist(run.path(f"{name}.csv"), h)
+                # the exponential h0 density: unit scale for CFAR kinds,
+                # mu0 / psi of the deterministic equivalents for dl-amf
+                scale = 1.0 if sp.kind in CFAR_TAGS else None
+                if sp.kind == DL_AMF:
+                    p = rmt.deterministic_equivalents(
+                        scen.covariance(), scen.steering, sp.lam, scen.K)
+                    scale = p.mu0 / p.psi
+                if scale is not None:
+                    xs = np.linspace(0.0, float(h.bin_edges[-1]), 201)
+                    _write_curve(run.path(f"{name}_theory.csv"),
+                                 Curve(x=xs, y=np.exp(-xs / scale) / scale))
 
 
-def _theory_roc_files(run, name, grid_db, pfa, kappa_by_label,
-                      targets=("swerling0", "swerling1")):
-    lin = harness.db_to_linear(grid_db)
-    for label, kv in kappa_by_label.items():
-        for t in targets:
-            if t == "swerling0":
-                y = theory.roc_swerling0(lin, kv, pfa)
-            else:
-                y = theory.roc_swerling1(lin, kv, pfa)
-            from .results import Curve
-            _write_curve(run.path(f"{name}_{t}_theory_{_slug(label)}.csv"),
-                         Curve(x=grid_db, y=y))
-
-
-def _repro_fig1(run, budgets, seed, workers, pfa):
-    # h0 densities of the plain loaded filter: scale drifts with the scenario
-    combos = ([("a", {"rho": r}) for r in (0.1, 0.5, 0.95)]
-              + [("b", {"theta": t}) for t in (0.0, 5.0, 20.0)]
-              + [("c", {"lam": v}) for v in (1.5, 5.0, 10.0)])
-    for panel, over in combos:
-        rho = over.get("rho", 0.95)
-        theta = over.get("theta", 20.0)
-        lam = over.get("lam", 1.5)
-        scen = _scen_toeplitz(24, 48, rho=rho, theta=theta)
-        spec = DetectorSpec("dl-amf", lam)
-        p = rmt.deterministic_equivalents(scen.covariance(), scen.steering,
-                                          lam, scen.K)
-        key, val = next(iter(over.items()))
-        name = f"fig1{panel}_{key}{val:g}"
-        _hist_series(run, name, scen, [spec], budgets["hist"], seed, workers,
-                     {spec.label: p.mu0 / p.psi})
-
-
-def _repro_fig2(run, budgets, seed, workers, pfa):
-    grid = np.arange(0.0, 20.5, 1.0)
-    for panel, (N, K) in (("a", (12, 24)), ("b", (24, 48))):
-        scen = _scen_toeplitz(N, K)
-        specs = [DetectorSpec("dl-amf", 1.5), DetectorSpec("dl-scm-beta", 1.5),
-                 DetectorSpec("dl-raw", 1.5), DetectorSpec(NP)]
-        _mc_pd_curves(run, f"fig2{panel}", scen, specs, grid, budgets, seed,
-                      workers, pfa)
-        kv = rmt.kappa(scen.covariance(), scen.steering, 1.5, K)
-        _theory_roc_files(run, f"fig2{panel}", grid, pfa,
-                          {"dl-family": kv, NP: 1.0})
-
-
-def _kappa_profile(run, name, scen, lam_list, grid_db, budgets, seed,
-                   workers, pfa):
-    """kappa sweep + detection curves at selected loadings; returns summary."""
-    R = scen.covariance()
-    s = scen.steering
-    curve = optimizer.kappa_lambda_curve(R, s, scen.K)
-    _write_csv(run.path(f"{name}_kappa.csv"),
-               ("lambda", "kappa", "kappa_lower", "one_minus_c"),
-               [(x, y, kl, curve.meta["one_minus_c"]) for x, y, kl in
-                zip(curve.x, curve.y, curve.meta["kappa_lower"])])
-    opt = optimizer.lambda_opt(R, s, scen.K)
-    crossing = optimizer.kappa_crossing(R, s, scen.K)
-    summary = {"lambda_0": opt.lambda_star,
-               "kappa_at_lambda_0": opt.objective_value,
-               "kappa_inf": rmt.kappa_limit_inf(R, s),
-               "one_minus_c": 1.0 - scen.c,
-               "crossing": crossing}
-    specs = [DetectorSpec("dl-amf", lam) for lam in lam_list] \
-        + [DetectorSpec(SCM_AMF), DetectorSpec(NP)]
-    _mc_pd_curves(run, name, scen, specs, grid_db, budgets, seed, workers,
-                  pfa)
-    kmap = {sp.label: rmt.kappa(R, s, sp.lam, scen.K)
-            for sp in specs if sp.kind == "dl-amf"}
-    kmap[SCM_AMF] = 1.0 - scen.c
-    kmap[NP] = 1.0
-    _theory_roc_files(run, name, grid_db, pfa, kmap)
-    return summary
-
-
-def _repro_fig5(run, budgets, seed, workers, pfa):
-    scen = _scen_toeplitz(12, 48, theta=20.0)
-    opt = optimizer.lambda_opt(scen.covariance(), scen.steering, scen.K)
-    lam_list = [0.5, round(opt.lambda_star, 2), 20.0, 100.0]
-    s = _kappa_profile(run, "fig5", scen, lam_list,
-                       np.arange(0.0, 24.5, 1.0), budgets, seed, workers, pfa)
-    run.notes["fig5"] = s
-
-
-def _repro_fig6(run, budgets, seed, workers, pfa):
-    scen = _scen_toeplitz(12, 48, theta=5.0)
-    opt = optimizer.lambda_opt(scen.covariance(), scen.steering, scen.K)
-    lam_list = [0.5, round(opt.lambda_star, 2), 20.0, 200.0]
-    s = _kappa_profile(run, "fig6", scen, lam_list,
-                       np.arange(0.0, 30.5, 1.0), budgets, seed, workers, pfa)
-    run.notes["fig6"] = s
-
-
-def _repro_fig7(run, budgets, seed, workers, pfa):
-    scen = _scen_toeplitz(12, 13, theta=5.0)
-    opt = optimizer.lambda_opt(scen.covariance(), scen.steering, scen.K)
-    lam_list = [0.5, round(opt.lambda_star, 2), 20.0, 200.0]
-    s = _kappa_profile(run, "fig7", scen, lam_list,
-                       np.arange(0.0, 30.5, 1.0), budgets, seed, workers, pfa)
-    run.notes["fig7"] = s
-
-
-def _cfar_hist_panels(run, name, tag, lam_fixed, budgets, seed, workers):
-    """rho / theta / loading sweeps of a CFAR statistic vs exp(-x)."""
-    combos = ([("a", {"rho": r}) for r in (0.1, 0.5, 0.95)]
-              + [("b", {"theta": t}) for t in (0.0, 5.0, 20.0)]
-              + [("c", {"lam": v}) for v in (1.5, 5.0, 10.0)])
-    for panel, over in combos:
-        scen = _scen_toeplitz(24, 48, rho=over.get("rho", 0.95),
-                              theta=over.get("theta", 20.0))
-        spec = DetectorSpec(tag, over.get("lam", lam_fixed))
-        key, val = next(iter(over.items()))
-        _hist_series(run, f"{name}{panel}_{key}{val:g}", scen, [spec],
-                     budgets["hist"], seed, workers, {spec.label: 1.0})
-
-
-def _repro_fig8(run, budgets, seed, workers, pfa):
-    _cfar_hist_panels(run, "fig8", "cfar-dl-scmf", 1.5, budgets, seed,
-                      workers)
-
-
-def _repro_fig9(run, budgets, seed, workers, pfa):
-    _cfar_hist_panels(run, "fig9", "cfar-dl-amf", 1.5, budgets, seed, workers)
-
-
-def _repro_fig10(run, budgets, seed, workers, pfa):
-    scen = _scen_toeplitz(24, 48)
-    specs = [DetectorSpec("cfar-dl-scmf", 1.5), DetectorSpec("cfar-dl-amf", 1.5),
-             DetectorSpec(NP)]
-    grid = np.arange(0.0, 20.5, 1.0)
-    _mc_pd_curves(run, "fig10", scen, specs, grid, budgets, seed, workers,
-                  pfa)
-    kv = rmt.kappa(scen.covariance(), scen.steering, 1.5, scen.K)
-    tau = theory.cfar_threshold(pfa)
-    from .results import Curve
+def _curves(run, item, row, budgets, seed, workers, pfa):
+    grid = np.arange(0.0, row.top_db + 0.5, 1.0)
     lin = harness.db_to_linear(grid)
-    for t in ("swerling0", "swerling1"):
-        _write_curve(run.path(f"fig10_{t}_theory_cfar-dl.csv"),
-                     Curve(x=grid, y=theory.cfar_dl_pd(lin, kv, tau, t)))
-        _write_curve(run.path(f"fig10_{t}_theory_np.csv"),
-                     Curve(x=grid, y=theory.cfar_dl_pd(lin, 1.0, tau, t)))
+    for panel, N, K, theta in row.panels:
+        name = item + panel
+        scen = _scen_toeplitz(N, K, theta=theta)
+        R, s = scen.covariance(), scen.steering
+        opt = None
+        specs, curves = _specs(row.tags), row.theory
+        if row.profile:
+            opt = optimizer.lambda_opt(R, s, K)
+            _write_kappa(run.path(f"{name}_kappa.csv"),
+                         optimizer.kappa_lambda_curve(R, s, K))
+            run.notes[name] = {
+                "lambda_0": opt.lambda_star,
+                "kappa_at_lambda_0": opt.objective_value,
+                "kappa_inf": rmt.kappa_limit_inf(R, s),
+                "one_minus_c": 1.0 - scen.c,
+                "crossing": optimizer.kappa_crossing(R, s, K)}
+            specs = [DetectorSpec(DL_AMF, round(opt.lambda_star, 2)
+                                  if lam == "opt" else lam)
+                     for lam in row.profile] + _specs((SCM_AMF, NP))
+            curves = [(sp.label, sp.lam) for sp in specs[:-2]] \
+                + [(SCM_AMF, 0.0), (NP, None)]
+        cal = TrialConfig(scenario=scen, detector=specs,
+                          trials=budgets["threshold"], master_seed=seed,
+                          pfa_pre=pfa, workers=workers)
+        taus = harness.calibrate_threshold(cal)
+        mc = harness.pd_vs_scnr_sweep(
+            replace(cal, trials=budgets["pd"]),
+            {sp.label: taus[sp.label].tau for sp in specs}, grid, TARGETS)
+        for t in TARGETS:
+            for sp in specs:
+                _write_curve(run.path(f"{name}_{t}_mc_{_slug(sp.label)}.csv"),
+                             mc[t][sp.label])
+        for label, lam in curves:
+            if lam == "opt":
+                if opt is None:
+                    opt = optimizer.lambda_opt(R, s, K)
+                run.notes["lambda_opt"] = opt.lambda_star
+                kv = opt.objective_value
+            elif lam is None:
+                kv = 1.0
+            elif lam == 0.0:
+                kv = 1.0 - scen.c
+            else:
+                kv = rmt.kappa(R, s, lam, K)
+            for t in TARGETS:
+                if row.cfar:
+                    y = theory.cfar_dl_pd(lin, kv, theory.cfar_threshold(pfa),
+                                          t)
+                else:
+                    y = getattr(theory, f"roc_{t}")(lin, kv, pfa)
+                _write_curve(run.path(f"{name}_{t}_theory_{_slug(label)}.csv"),
+                             Curve(x=grid, y=y))
 
 
-def _repro_fig11(run, budgets, seed, workers, pfa):
-    # sigma_c^2 sweep values are a preset choice, recorded in the manifest
-    combos = ([("ab", {"rho": r}) for r in (0.1, 0.5, 0.95)]
-              + [("cd", {"clutter_power": p}) for p in (1.0, 10.0, 100.0)])
-    run.notes["clutter_power_sweep"] = [1.0, 10.0, 100.0]
-    for panel, over in combos:
-        scen = _scen_toeplitz(24, 48, rho=over.get("rho", 0.95),
-                              clutter_power=over.get("clutter_power", 10.0))
-        key, val = next(iter(over.items()))
-        specs = [DetectorSpec(EL_AMF), DetectorSpec(CFAR_EL_AMF)]
-        _hist_series(run, f"fig11{panel}_{key}{val:g}", scen, specs,
-                     budgets["hist"], seed, workers,
-                     {specs[1].label: 1.0})
-
-
-def _repro_fig12(run, budgets, seed, workers, pfa):
-    scen = _scen_toeplitz(24, 48)
-    specs = [DetectorSpec(EL_AMF), DetectorSpec(CFAR_EL_AMF),
-             DetectorSpec(NP)]
-    grid = np.arange(0.0, 20.5, 1.0)
-    _mc_pd_curves(run, "fig12", scen, specs, grid, budgets, seed, workers,
-                  pfa)
-    _theory_roc_files(run, "fig12", grid, pfa, {NP: 1.0})
-
-
-def _repro_fig13(run, budgets, seed, workers, pfa):
-    for rho in (0.1, 0.5, 0.95):
-        scen = _scen_toeplitz(24, 48, rho=rho)
-        specs = [DetectorSpec(OPT_CFAR_DL_SCMF), DetectorSpec(OPT_CFAR_DL_AMF)]
-        _hist_series(run, f"fig13_rho{rho:g}", scen, specs, budgets["hist"],
-                     seed, workers,
-                     {sp.label: 1.0 for sp in specs})
-
-
-def _repro_fig14(run, budgets, seed, workers, pfa):
-    scen = _scen_toeplitz(24, 48)
-    specs = [DetectorSpec(OPT_CFAR_DL_SCMF), DetectorSpec(OPT_CFAR_DL_AMF),
-             DetectorSpec(NP)]
-    grid = np.arange(0.0, 20.5, 1.0)
-    _mc_pd_curves(run, "fig14", scen, specs, grid, budgets, seed, workers,
-                  pfa)
-    R = scen.covariance()
-    opt = optimizer.lambda_opt(R, scen.steering, scen.K)
-    run.notes["lambda_opt"] = opt.lambda_star
-    _theory_roc_files(run, "fig14", grid, pfa,
-                      {"opt-dl": opt.objective_value, NP: 1.0})
-
-
-def _loss_table_preset(run, name, scen_fn, budgets, seed, workers, pfa):
-    specs = [DetectorSpec(SCM_AMF), DetectorSpec(PERSYM_AMF),
-             DetectorSpec(CFAR_EL_AMF), DetectorSpec(OPT_CFAR_DL_SCMF),
-             DetectorSpec(OPT_CFAR_DL_AMF)]
+def _loss_table(run, item, scen_fn, budgets, seed, workers, pfa):
     rows = []
     for K in (48, 28):
-        scen = scen_fn(24, K)
-        part = harness.detection_loss_table(
-            scen, specs, pfa_pre=pfa, threshold_trials=budgets["threshold"],
-            pd_trials=budgets["pd"], master_seed=seed, workers=workers)
-        for r in part:
-            r["K"] = K
-            rows.append(r)
-    _write_csv(run.path(f"{name}.csv"),
-               ("K", "detector", "kind", "target", "tau", "scnr_db",
-                "loss_db"),
-               [(r["K"], r["detector"], r["kind"], r["target"], r["tau"],
-                 r["scnr_db"], r["loss_db"]) for r in rows])
+        for r in harness.detection_loss_table(
+                scen_fn(24, K), _specs(LOSS_TAGS), pfa_pre=pfa,
+                threshold_trials=budgets["threshold"],
+                pd_trials=budgets["pd"], master_seed=seed, workers=workers):
+            rows.append([K] + [r[c] for c in LOSS_COLUMNS])
+    _write_csv(run.path(f"{item}.csv"), ("K",) + LOSS_COLUMNS, rows)
 
 
-def _repro_table2(run, budgets, seed, workers, pfa):
-    _loss_table_preset(run, "table2", _scen_toeplitz, budgets, seed, workers,
-                       pfa)
-
-
-def _repro_table3(run, budgets, seed, workers, pfa):
-    _loss_table_preset(run, "table3", _scen_lowrank, budgets, seed, workers,
-                       pfa)
-
-
-REPRODUCE_ITEMS = {
-    "fig1": _repro_fig1, "fig2": _repro_fig2, "fig5": _repro_fig5,
-    "fig6": _repro_fig6, "fig7": _repro_fig7, "fig8": _repro_fig8,
-    "fig9": _repro_fig9, "fig10": _repro_fig10, "fig11": _repro_fig11,
-    "fig12": _repro_fig12, "fig13": _repro_fig13, "fig14": _repro_fig14,
-    "table2": _repro_table2, "table3": _repro_table3,
-}
+# item -> (interpreter, table row)
+REPRODUCE_ITEMS = {item: (interpret, row)
+                   for table, interpret in ((HIST_ITEMS, _histograms),
+                                            (CURVE_ITEMS, _curves),
+                                            (LOSS_ITEMS, _loss_table))
+                   for item, row in table.items()}
 
 
 def cmd_reproduce(args, argv):
@@ -605,8 +514,8 @@ def cmd_reproduce(args, argv):
     run = _Run(argv, args.out,
                notes={"item": args.item, "fast": bool(args.fast),
                       "budgets": budgets})
-    REPRODUCE_ITEMS[args.item](run, budgets, args.seed, args.workers,
-                               args.pfa)
+    interpret, row = REPRODUCE_ITEMS[args.item]
+    interpret(run, args.item, row, budgets, args.seed, args.workers, args.pfa)
     run.finish({"seed": args.seed, "pfa": args.pfa,
                 "detectors": None})
     return 0

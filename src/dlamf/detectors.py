@@ -31,7 +31,7 @@ import numpy as np
 from . import estimators, optimizer, rmt
 from .errors import ConfigError, NumericalError
 from .rmt import _square
-from .scenario import HermitianSpectrum, SteeringVector
+from .scenario import HermitianSpectrum, as_spectrum, steering_entries
 
 NP = "np"
 SCM_AMF = "scm-amf"
@@ -123,16 +123,6 @@ def make_opt_detector(mode):
     raise ConfigError(f"mode must be 'oracle' or 'adaptive', got {mode!r}")
 
 
-def _entries(s):
-    return s.entries if isinstance(s, SteeringVector) else np.asarray(s)
-
-
-def _as_spectrum(M, label):
-    if isinstance(M, HermitianSpectrum):
-        return M
-    return HermitianSpectrum.from_matrix(M, label=label)
-
-
 def guard_invertible(l_min, l_max):
     """Raise NumericalError where l_min <= 1e-10 * l_max.
 
@@ -160,7 +150,7 @@ class Plan:
 
     def __init__(self, specs, s, K, R=None, opt_config=None, design=None):
         self.specs = list(specs)
-        self.s = _entries(s)
+        self.s = steering_entries(s)
         self.N = self.s.shape[0]
         self.K = K
         self.opt_config = opt_config
@@ -274,12 +264,12 @@ def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
         raise ConfigError(f"detector {spec.kind!r} needs a sample covariance")
 
     if R is not None:
-        R = _as_spectrum(R, "covariance")
+        R = as_spectrum(R, "covariance")
     plan = Plan([spec], s, K, R, opt_config)
     y0 = np.asarray(y0)
     forms = {}
     if plan.need_scm:
-        scm = _as_spectrum(scm, "sample covariance")
+        scm = as_spectrum(scm, "sample covariance")
         if plan.need_persym:
             A = scm.matrix
             scm = HermitianSpectrum.from_matrix(

@@ -31,18 +31,13 @@ from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError
 from .rmt import _loadings, _shaped, _square
-from .scenario import HermitianSpectrum, SteeringVector
+from .scenario import HermitianSpectrum, as_spectrum, steering_entries
 
 _EL_FTOL = 1e-10
 
 
-def _as_entries(s):
-    return s.entries if isinstance(s, SteeringVector) else np.asarray(s)
-
-
 def _check(scm, lam, K):
-    if not isinstance(scm, HermitianSpectrum):
-        scm = HermitianSpectrum.from_matrix(scm, label="sample covariance")
+    scm = as_spectrum(scm, "sample covariance")
     lams = _loadings(lam)
     if K < scm.dim:
         raise ConfigError(f"estimators need K >= N, got N={scm.dim} K={K}")
@@ -106,7 +101,7 @@ def estimated_equivalents(scm, s, lam, K):
     """Every plug-in value at lam, a scalar or an array of loading factors;
     the SCM weights are computed once for the whole array."""
     scm, lams = _check(scm, lam, K)
-    w2 = np.abs(scm.weights(_as_entries(s))) ** 2
+    w2 = np.abs(scm.weights(steering_entries(s))) ** 2
     l = scm.eigenvalues[None]
     d1, psi, num = (x[0] for x in _loaded_rows(l, w2[None], lams[None], K))
     d2 = _d2_rows(l, lams[None], K)[0]
@@ -240,8 +235,7 @@ def el_lambda(scm, K):
     g(0) = 1 > zeta_0.5 so a root exists for K > N). If the median were ever
     >= g(0) the rule is vacuous: returns 0 with a warning.
     """
-    if not isinstance(scm, HermitianSpectrum):
-        scm = HermitianSpectrum.from_matrix(scm, label="sample covariance")
+    scm = as_spectrum(scm, "sample covariance")
     log_zeta = log_zeta_median(scm.dim, K)
     return float(_el_rows(scm.eigenvalues[None], log_zeta)[0])
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import ztrtri
@@ -532,29 +532,33 @@ def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1):
     """Detection curves over an SCNR grid, fresh trials per grid point.
 
     tau is a scalar (single detector) or {label: tau}. Returns a Curve for a
-    single detector, else {label: Curve}.
+    single detector, else {label: Curve}. target_model may also be a tuple
+    of models: every model reads the same coefficient pass per grid point,
+    and the result is {model: what one model would return}.
     """
     specs = cfg.spec_list()
     single = isinstance(cfg.detector, DetectorSpec)
     taus = {specs[0].label: tau} if single else dict(tau)
+    models = target_model if isinstance(target_model, tuple) \
+        else (target_model,)
     grid = np.asarray(scnr_db_grid, dtype=float)
-    ys = {sp.label: np.empty(grid.shape[0]) for sp in specs}
-    los = {sp.label: np.empty(grid.shape[0]) for sp in specs}
-    his = {sp.label: np.empty(grid.shape[0]) for sp in specs}
+    # (pd, ci_lo, ci_hi) per model and label
+    pds = {(t, sp.label): np.empty((3, grid.shape[0]))
+           for t in models for sp in specs}
     plan = _BatchPlan(cfg.scenario, specs, cfg.opt_config)
     for i, db in enumerate(grid):
         ev = pd_evaluator(cfg, stream=stream_base + i, plan=plan)
-        for sp in specs:
-            p, (lo, hi) = ev.pd(sp.label, taus[sp.label],
-                                float(db_to_linear(db)), target_model)
-            ys[sp.label][i] = p
-            los[sp.label][i] = lo
-            his[sp.label][i] = hi
-    curves = {lbl: Curve(x=grid, y=ys[lbl], ci_lo=los[lbl], ci_hi=his[lbl],
-                         label=lbl,
-                         meta={"target": target_model, "tau": taus[lbl]})
-              for lbl in ys}
-    return curves[specs[0].label] if single else curves
+        for (t, lbl), out in pds.items():
+            p, (lo, hi) = ev.pd(lbl, taus[lbl], float(db_to_linear(db)), t)
+            out[:, i] = p, lo, hi
+    curves = {t: {} for t in models}
+    for (t, lbl), (y, lo, hi) in pds.items():
+        curves[t][lbl] = Curve(x=grid, y=y, ci_lo=lo, ci_hi=hi, label=lbl,
+                               meta={"target": t, "tau": taus[lbl]})
+    if single:
+        curves = {t: c[specs[0].label] for t, c in curves.items()}
+    return curves if isinstance(target_model, tuple) \
+        else curves[target_model]
 
 
 def scnr_at_pd(cfg, tau, pd_target, target_model, stream=1,
@@ -611,20 +615,14 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
                           pfa_pre=pfa_pre, workers=workers, chunk=chunk,
                           opt_config=opt_config)
     taus = calibrate_threshold(cal_cfg)
-    pd_cfg = TrialConfig(scenario=scenario, detector=specs, trials=pd_trials,
-                         master_seed=master_seed, pfa_pre=pfa_pre,
-                         workers=workers, chunk=chunk, opt_config=opt_config)
+    pd_cfg = replace(cal_cfg, trials=pd_trials)
     ev = pd_evaluator(pd_cfg, stream=1)
     rows = []
     for target in target_models:
         ref_db = None
         for sp in specs:
-            one = TrialConfig(scenario=scenario, detector=sp,
-                              trials=pd_trials, master_seed=master_seed,
-                              pfa_pre=pfa_pre, workers=workers, chunk=chunk,
-                              opt_config=opt_config)
-            db = scnr_at_pd(one, taus[sp.label].tau, pd_target, target,
-                            evaluator=ev)
+            db = scnr_at_pd(replace(pd_cfg, detector=sp), taus[sp.label].tau,
+                            pd_target, target, evaluator=ev)
             if sp.kind == NP:
                 ref_db = db
             rows.append({"detector": sp.label, "kind": sp.kind,

@@ -24,9 +24,10 @@ from scipy.optimize import brentq
 from . import estimators, rmt
 from .errors import ConfigError
 from .results import Curve
-from .scenario import HermitianSpectrum
+from .scenario import as_spectrum, steering_entries
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 200
 # loadings per objective call while a grid is evaluated: B rows take
 # _GRID_CELLS // B columns at a time, so a call's temporaries stay a few MiB
 _GRID_CELLS = 4096
@@ -46,6 +47,8 @@ class OptConfig:
                 f"lambda_max must be finite and > 0, got {self.lambda_max}")
         if self.grid_points < 2:
             raise ConfigError("grid needs at least 2 points")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
 
     def resolved_max(self, eigenvalues):
         """lambda_max, by default 100x the mean eigenvalue (of each row of a
@@ -83,7 +86,8 @@ def search_rows(objective, eigenvalues, config=None):
     or one value broadcast to it). Returns the rows lambda_star, objective
     value, evaluations (grid points plus golden steps), bracket ends and
     converged. A flat row (no grid point improves on lam = 0 beyond
-    rounding) gets lambda_star = 0 with converged = False.
+    rounding) gets lambda_star = 0 with converged = False, and so does a
+    row whose bracket is still wider than tol after _GOLDEN_STEPS steps.
     """
     cfg = config or OptConfig()
 
@@ -125,7 +129,7 @@ def search_rows(objective, eigenvalues, config=None):
     x1[:], x2[:] = b - _GOLDEN * width, a + _GOLDEN * width
     f1[:], f2[:] = f(np.stack((x1, x2), axis=1)).T
     evals += 2 * act
-    for _ in range(200):
+    for _ in range(_GOLDEN_STEPS):
         act &= width > cfg.tol * np.maximum(b, 1e-30)
         if not act.any():
             break
@@ -144,12 +148,13 @@ def search_rows(objective, eigenvalues, config=None):
         np.copyto(pts[2:], new, where=right)
         np.copyto(pts[:2], new, where=left)
         evals += act
+    act &= width > cfg.tol * np.maximum(b, 1e-30)   # stopped at the cap
     # the smaller loading on exact ties; the grid point if still the best
     first = f1 >= f2
     xg, fg = np.where(first, x1, x2), np.where(first, f1, f2)
     golden = ~flat & ~(best_v >= fg)
     return (np.where(golden, xg, x), np.where(golden, fg, fx), evals, lo, hi,
-            ~flat)
+            ~flat & ~act)
 
 
 def _one_row(found):
@@ -168,8 +173,7 @@ def maximize_over_lambda(objective, eigenvalues, config=None):
 
 def lambda_opt(R, s, K, config=None):
     """Oracle loading factor: maximize kappa(lam) from the true covariance."""
-    if not isinstance(R, HermitianSpectrum):
-        R = HermitianSpectrum.from_matrix(R)
+    R = as_spectrum(R)
     return maximize_over_lambda(lambda lam: rmt.kappa(R, s, lam, K),
                                 R.eigenvalues, config)
 
@@ -188,7 +192,7 @@ def lambda_opt_rows(l, w2, K, config=None):
 def lambda_opt_hat(scm, s, K, config=None):
     """Adaptive loading factor: maximize kappa_lower_hat from one SCM."""
     scm, _ = estimators._check(scm, 0.0, K)
-    w2 = np.abs(scm.weights(estimators._as_entries(s))) ** 2
+    w2 = np.abs(scm.weights(steering_entries(s))) ** 2
     return _one_row(lambda_opt_rows(scm.eigenvalues[None], w2[None], K,
                                     config))
 
@@ -198,8 +202,7 @@ def kappa_lambda_curve(R, s, K, lambda_grid=None, config=None):
 
     meta carries the kappa_lower values and the 1 - c reference level.
     """
-    if not isinstance(R, HermitianSpectrum):
-        R = HermitianSpectrum.from_matrix(R)
+    R = as_spectrum(R)
     if lambda_grid is None:
         lambda_grid = np.concatenate(
             ([0.0], _log_grid(config or OptConfig(), R.eigenvalues)))
@@ -218,8 +221,7 @@ def kappa_crossing(R, s, K, level=None, config=None):
     limit is poor falls back through it; the crossing marks where loading
     stops paying. Returns None when kappa stays above the level on the grid.
     """
-    if not isinstance(R, HermitianSpectrum):
-        R = HermitianSpectrum.from_matrix(R)
+    R = as_spectrum(R)
     N = R.dim
     if level is None:
         level = 1.0 - N / K

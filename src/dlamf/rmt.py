@@ -33,15 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .scenario import HermitianSpectrum, SteeringVector
+from .scenario import as_spectrum, steering_entries
 
 _FP_TOL = 1e-13
 _FP_MAX_ITER = 10_000
 _RESIDUAL_TOL = 1e-12
-
-
-def _as_entries(s):
-    return s.entries if isinstance(s, SteeringVector) else np.asarray(s)
 
 
 def _check_regime(N, K):
@@ -187,9 +183,8 @@ def deterministic_equivalents(R, s, lam, K):
     lam = 0 uses the exact closed forms psi = q/(1-c), xi = q/(1-c)^2,
     gamma = c, mu0 = q/(1-c)^3.
     """
-    if not isinstance(R, HermitianSpectrum):
-        R = HermitianSpectrum.from_matrix(R)
-    sv = _as_entries(s)
+    R = as_spectrum(R)
+    sv = steering_entries(s)
     rho = R.eigenvalues
     N = rho.shape[0]
     _check_regime(N, K)
@@ -249,8 +244,7 @@ def kappa_derivative_at_zero(R, K):
 
     Strictly positive, so a little loading always beats none.
     """
-    if not isinstance(R, HermitianSpectrum):
-        R = HermitianSpectrum.from_matrix(R)
+    R = as_spectrum(R)
     N = R.dim
     _check_regime(N, K)
     return 2.0 * R.inv_trace() / (K * (1.0 - N / K))
@@ -258,7 +252,6 @@ def kappa_derivative_at_zero(R, K):
 
 def kappa_limit_inf(R, s):
     """lam -> infinity limit 1 / (q * s^H R s): the unadapted matched filter."""
-    if not isinstance(R, HermitianSpectrum):
-        R = HermitianSpectrum.from_matrix(R)
-    sv = _as_entries(s)
+    R = as_spectrum(R)
+    sv = steering_entries(s)
     return 1.0 / (R.inv_quad(sv) * R.quad(sv))

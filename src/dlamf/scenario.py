@@ -122,6 +122,19 @@ class HermitianSpectrum:
         return float(np.sum(1.0 / self.eigenvalues))
 
 
+def as_spectrum(M, label="covariance"):
+    """M as a HermitianSpectrum; a matrix is decomposed, with label naming
+    it in errors and warnings."""
+    if isinstance(M, HermitianSpectrum):
+        return M
+    return HermitianSpectrum.from_matrix(M, label=label)
+
+
+def steering_entries(s):
+    """The entries of a SteeringVector, or s itself as an array."""
+    return s.entries if isinstance(s, SteeringVector) else np.asarray(s)
+
+
 @dataclass(frozen=True)
 class ToeplitzClutter:
     """Exponentially correlated clutter: power * one_lag**|i-j|."""

@@ -127,7 +127,9 @@ class TestThreshold:
 
     @pytest.mark.parametrize("flags,word", [
         (["--lambda-max", "-1"], "lambda_max"),
-        (["--grid-points", "1"], "grid")])
+        (["--grid-points", "1"], "grid"),
+        (["--tol", "0"], "tol"),
+        (["--tol", "nan"], "tol")])
     def test_invalid_opt_config(self, tmp_path, capsys, flags, word):
         # the search settings are checked before any trial runs
         rc = cli.main(["threshold", "--config", TOEPLITZ,
@@ -269,11 +271,11 @@ class TestReproduce:
             return lambda_opt(*args, **kwargs)
 
         monkeypatch.setattr(harness, "lambda_opt", counted)
-        scen = cli._scen_toeplitz(12, 24)
-        specs = [DetectorSpec("np"), DetectorSpec("opt-cfar-dl-scmf")]
+        row = cli.Curves((("", 12, 24, 20.0),), 10.0,
+                         ("np", "opt-cfar-dl-scmf"))
         run = cli._Run([], tmp_path)
-        cli._mc_pd_curves(run, "figx", scen, specs, np.array([0.0, 5.0, 10.0]),
-                          {"threshold": 200, "pd": 32}, 1, 1, 0.25)
+        cli._curves(run, "figx", row, {"threshold": 200, "pd": 32}, 1, 1,
+                    0.25)
         assert len(calls) == 2
         assert len(run.files) == 4
 
@@ -347,8 +349,9 @@ PINNED = {
         "d20175d47dde436a778707b55ea890dbb241ef16ab6198c0ff4e31876093a60c",
         "da05db311128f58c9e03f1bff5ac7148ffa68175f2267af47d422d70eb97ac4e",
         {}),
+    # fig10 lists its theory curves label by label, each for both targets
     "fig10": (10,
-        "ac38abbc112c0728ed2a832ee815724a69f39c8e96adda1680a58a22d4dfa172",
+        "c9db3284701018887a612e748927290b68f65abf1409150143bcde436314532e",
         "47c6a51a3eab86dc98e7edfd7b8261362600523795edb06762dd42fa7d3cbb4c",
         {}),
     "fig11": (18,

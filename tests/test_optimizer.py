@@ -85,6 +85,16 @@ class TestMaximize:
         assert res.bracket[0] < 5.0 < res.bracket[1]
         assert res.evaluations > 200
 
+    def test_golden_cap_is_not_converged(self):
+        # a tolerance no bracket reaches in 200 golden steps: the search
+        # stops at the cap (201 grid points, the first pair, 200 steps)
+        # and says so
+        res = optimizer.maximize_over_lambda(
+            lambda t: -(t - 5.0) ** 2, np.ones(4), OptConfig(tol=1e-300))
+        assert res.evaluations == 201 + 2 + 200
+        assert not res.converged
+        assert res.lambda_star == pytest.approx(5.0, abs=1e-5)
+
 
 class TestLambdaOpt:
     # reference optima recomputed with a dense-inverse route during
