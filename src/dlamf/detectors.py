@@ -30,7 +30,6 @@ import numpy as np
 
 from . import estimators, optimizer, rmt
 from .errors import ConfigError, NumericalError
-from .rmt import _square
 from .scenario import HermitianSpectrum, as_spectrum, steering_entries
 
 NP = "np"
@@ -205,7 +204,7 @@ class Plan:
             guard_invertible(l[unloaded, 0], l[unloaded, -1])
         d1, beta, num, alpha = estimators._loaded_rows(
             l, w2, lam[:, None], self.K, wz)
-        mu0h = num[:, 0] / _square(d1[:, 0]) if with_mu0 else None
+        mu0h = num[:, 0] / (d1[:, 0] * d1[:, 0]) if with_mu0 else None
         return alpha[:, 0], beta[:, 0], mu0h
 
     def spectral_forms(self, l, w2, wz):

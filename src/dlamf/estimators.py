@@ -16,8 +16,9 @@ spectra with m loadings each: the scalar API (d_factors,
 estimated_equivalents and its accessors, which take lam as a scalar or an
 array) is one row of it, and the trial engine and the adaptive loading
 search pass many. The expected-likelihood (EL) loading factor is one row of
-the row bisection _el_rows in the same way. The theta transform that links
-sample and population resolvents lives here too.
+_el_rows in the same way. _el_rows and the theta transform that links
+sample and population resolvents solve their monotone equations with the
+safeguarded Newton row solver of rmt, the one that solves for delta.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError
-from .rmt import _loadings, _shaped, _square
+from .rmt import _loadings, _newton_rows, _shaped
 from .scenario import HermitianSpectrum, as_spectrum, steering_entries
 
 _EL_FTOL = 1e-10
@@ -66,7 +66,7 @@ def _loaded_rows(l, w2, lams, K, wz=None):
 def _d2_rows(l, lams, K):
     loaded = l[:, None, :] + lams[:, :, None]
     return ((1.0 - l.shape[1] / K)
-            + _square(lams) * (1.0 / loaded ** 2).sum(-1) / K)
+            + lams * lams * (1.0 / loaded ** 2).sum(-1) / K)
 
 
 def d_factors(eigenvalues, lam, K):
@@ -79,7 +79,7 @@ def d_factors(eigenvalues, lam, K):
 
 
 def _kappa_lower(d1, psi, num):
-    return _square(d1) * _square(psi) / num
+    return (d1 * d1) * (psi * psi) / num
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def estimated_equivalents(scm, s, lam, K):
     l = scm.eigenvalues[None]
     d1, psi, num = (x[0] for x in _loaded_rows(l, w2[None], lams[None], K))
     d2 = _d2_rows(l, lams[None], K)[0]
-    d1sq = _square(d1)
+    d1sq = d1 * d1
     return EstimatedEquivalents(
         lam=_shaped(lams, lam), psi_hat=_shaped(psi, lam),
         xi_hat=_shaped(num / d2, lam),
@@ -186,12 +186,15 @@ def log_el_statistic(scm, reference):
 
 
 def _el_rows(l, log_zeta):
-    """EL loading of each row of eigenvalues l (B, N): bisection for
+    """EL loading of each row of eigenvalues l (B, N): the root of
     log g(lam) = log_zeta, g strictly decreasing with g(0) = 1.
 
     If the median were ever >= g(0) (log_zeta >= 0, one check for all rows)
-    the rule is vacuous: every row gets 0, with a warning. Rows leave the
-    bisection as they converge.
+    the rule is vacuous: every row gets 0, with a warning. Otherwise each
+    row's bracket [0, hi] doubles hi from max l until log g(hi) is at most
+    log_zeta, and safeguarded Newton steps find the root from
+    sqrt(-2 log_zeta / sum_i l_i^-2), which lies below it because each
+    term of log g is at least -(lam/l_i)^2 / 2.
     """
     B = l.shape[0]
     if log_zeta >= 0.0:
@@ -206,32 +209,23 @@ def _el_rows(l, log_zeta):
         hi[up] *= 2.0
     else:
         raise NumericalError("EL bracket expansion failed")
-    lo = np.zeros(B)
-    out = np.empty(B)
-    rows = np.arange(B)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = _log_g_rows(l, mid) - log_zeta
-        defect = np.abs(val)
-        if defect.min() <= _EL_FTOL:
-            done = defect <= _EL_FTOL
-            out[rows[done]] = mid[done]
-            if done.all():
-                return out
-            keep = ~done
-            rows, l, lo, hi, mid, val = (x[keep] for x in
-                                         (rows, l, lo, hi, mid, val))
-        gt = val > 0.0
-        np.copyto(lo, mid, where=gt)
-        np.copyto(hi, mid, where=~gt)
-    raise NumericalError(
-        f"EL bisection stalled, defect {np.abs(val).max():.3e}")
+
+    def excess(lam, l):
+        # log_zeta - log g, increasing in lam with slope
+        # sum_i lam / (l_i + lam)^2
+        slope = (lam[:, None] / (l + lam[:, None]) ** 2).sum(1)
+        return log_zeta - _log_g_rows(l, lam), slope
+
+    start = np.sqrt(-2.0 * log_zeta / (1.0 / (l * l)).sum(1))
+    return _newton_rows(excess, start, np.zeros(B), hi, _EL_FTOL,
+                        lambda j, r: f"EL solve stalled at defect {r:.3e}",
+                        l)
 
 
 def el_lambda(scm, K):
     """Loading factor matching the EL statistic to its median.
 
-    Solves log g(lam) = log zeta_0.5 by bisection (g strictly decreasing,
+    Solves log g(lam) = log zeta_0.5 by Newton steps (g strictly decreasing,
     g(0) = 1 > zeta_0.5 so a root exists for K > N). If the median were ever
     >= g(0) the rule is vacuous: returns 0 with a warning.
     """
@@ -259,10 +253,12 @@ def solve_theta(eigenvalues, x, K):
     c = N / K
 
     def h(theta):
-        return theta * (1.0 - c + c * np.mean(1.0 / (1.0 + theta * l))) - x
+        a = 1.0 / (1.0 + theta[:, None] * l)
+        return (theta * (1.0 - c + c * a.mean(1)) - x,
+                1.0 - c + c * (a * a).mean(1))
 
-    hi = x / (1.0 - c) + 1.0
-    root = brentq(h, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    if abs(h(root)) > 1e-10 * max(1.0, x):
-        raise NumericalError(f"theta solve left residual {h(root):.3e}")
-    return float(root)
+    root = _newton_rows(
+        h, np.array([float(x)]), np.zeros(1),
+        np.array([x / (1.0 - c) + 1.0]), 1e-10 * max(1.0, x),
+        lambda j, r: f"theta solve left residual {r:.3e}")
+    return float(root[0])

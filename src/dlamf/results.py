@@ -54,7 +54,3 @@ class Histogram:
     @property
     def bin_centers(self):
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    def as_curve(self):
-        return Curve(x=self.bin_centers, y=self.density, label=self.label,
-                     meta=dict(self.meta, n_samples=self.n_samples))

@@ -20,10 +20,12 @@ fraction of optimal output SCNR the loaded filter retains; kappa(0) = 1 - c
 recovers the unloaded SCM filter and kappa is bounded above by 1 - gamma < 1.
 
 solve_delta, deterministic_equivalents, kappa and kappa_lower take lam as a
-scalar or as an array. An array runs the delta fixed point for every element
-in lockstep, so a whole loading grid costs one NumPy pass; a scalar is the
-one-element case of the same code, and each element of an array call equals
-the scalar call bit for bit.
+scalar or as an array. An array solves the delta equation for every element
+at once, so a whole loading grid costs one NumPy pass per Newton step; a
+scalar is the one-element case of the same code, and each element of an
+array call equals the scalar call bit for bit. The solver, _newton_rows, is
+a safeguarded Newton iteration on many increasing scalar equations at once;
+estimators solves the EL loading rule and the theta transform with it too.
 """
 
 from __future__ import annotations
@@ -35,22 +37,14 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .scenario import as_spectrum, steering_entries
 
-_FP_TOL = 1e-13
-_FP_MAX_ITER = 10_000
 _RESIDUAL_TOL = 1e-12
+_NEWTON_STEPS = 100
 
 
 def _check_regime(N, K):
     if K <= N:
         raise ConfigError(
             f"asymptotic formulas need c = N/K < 1, got N={N} K={K}")
-
-
-def _square(x):
-    """x ** 2 rounded as Python's float ** 2 rounds it (libm pow), for
-    scalars and arrays alike, so array results equal scalar float
-    arithmetic; np.square rounds differently in about 1 case in 1000."""
-    return np.float_power(x, 2)
 
 
 def _loadings(lam):
@@ -70,64 +64,76 @@ def _shaped(values, lam):
     return values.reshape(np.shape(lam))
 
 
+def _delta_terms(d, rho, lam, K):
+    # residual of the delta equation and its slope in delta,
+    # 1 + (lam/K) sum_i rho_i / (delta rho_i + lam)^2; d and lam broadcast
+    den = d[..., None] * rho + lam[..., None]
+    q = rho / den
+    return d * (1.0 + q.sum(-1) / K) - 1.0, 1.0 + lam * (q / den).sum(-1) / K
+
+
 def delta_residual(delta, eigenvalues, lam, K):
     """Fixed-point defect delta * (1 + (1/K) tr(R (delta R + lam)^-1)) - 1.
 
     delta and lam broadcast against each other; the trace runs over the
     eigenvalues.
     """
-    rho = np.asarray(eigenvalues, dtype=float)
-    d = np.asarray(delta, dtype=float)[..., None]
-    tr = np.sum(rho / (d * rho + np.asarray(lam, dtype=float)[..., None]),
-                axis=-1)
-    res = d[..., 0] * (1.0 + tr / K) - 1.0
+    res = _delta_terms(np.asarray(delta, dtype=float),
+                       np.asarray(eigenvalues, dtype=float),
+                       np.asarray(lam, dtype=float), K)[0]
     return float(res) if res.ndim == 0 else res
 
 
-def _fixed_point(rho, lam, K):
-    # delta <- 1 / (1 + (1/K) sum_i rho_i / (delta rho_i + lam)) for every
-    # lam at once; an element stops updating once it meets the tolerance
-    delta = np.full(lam.shape, 1.0 - rho.shape[0] / K)
-    live = np.arange(lam.shape[0])
-    for _ in range(_FP_MAX_ITER):
-        if not live.size:
-            break
-        d = delta[live]
-        nxt = 1.0 / (1.0 + np.sum(
-            rho / (d[:, None] * rho + lam[live, None]), axis=1) / K)
-        delta[live] = nxt
-        live = live[~(np.abs(nxt - d) <= _FP_TOL * nxt)]
-    return delta
+def _newton_rows(fn, x, lo, hi, ftol, stalled, *data):
+    """Roots of B increasing scalar functions at once, one per row, by a
+    safeguarded Newton iteration.
 
-
-def _bisect(rho, lam, K):
-    # the residual is strictly increasing in delta with a sign change on
-    # (0, 1]; each element halves its own bracket until it is 1e-16 wide
-    lo = np.full(lam.shape, 1e-300)
-    hi = np.ones(lam.shape)
-    live = np.arange(lam.shape[0])
-    for _ in range(200):
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        neg = delta_residual(mid, rho, lam[live], K) < 0.0
-        lo[live[neg]] = mid[neg]
-        hi[live[~neg]] = mid[~neg]
-        live = live[~(hi[live] - lo[live] <= 1e-16 * hi[live])]
-    return 0.5 * (lo + hi)
+    fn(x, *data) returns the values f and slopes f' of the rows at x; data
+    are (B, ...) arrays of row parameters. Row i has its root in
+    [lo_i, hi_i] and starts at x_i there. Each step narrows every live
+    bracket by the sign of f and takes the Newton step where it stays in
+    the bracket, else bisects; a Newton step below rounding stays at x
+    rather than bisecting away from the root. A row leaves with its x once
+    two iterates in a row have |f| <= ftol: its last step started within
+    ftol of the root, and its own residual is checked. Every
+    operation is row-local, so a row's result does not depend on the other
+    rows. After _NEWTON_STEPS steps NumericalError(stalled(i, f_i)) names
+    the first row still live.
+    """
+    out = np.empty(x.shape)
+    rows = np.arange(x.shape[0])
+    near = np.zeros(x.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        f, slope = fn(x, *data)
+        ok = np.abs(f) <= ftol
+        done = ok & near
+        out[rows[done]] = x[done]
+        if done.all():
+            return out
+        if done.any():
+            keep = ~done
+            rows, x, f, slope, lo, hi, ok = (
+                a[keep] for a in (rows, x, f, slope, lo, hi, ok))
+            data = [a[keep] for a in data]
+        near = ok
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        nxt = x - f / slope
+        x = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+    raise NumericalError(stalled(rows[0], f[0]))
 
 
 def solve_delta(eigenvalues, lam, K):
-    """Solve the delta fixed point for each loading factor in lam >= 0.
+    """Solve the delta equation for each loading factor in lam >= 0.
 
     lam may be a scalar (returns a float) or an array (returns an array of
     its shape); a scalar is the one-element case of the same computation,
     so each element of an array call equals the scalar call bit for bit.
-    lam = 0 gives the exact value 1 - N/K. Otherwise the map
-    delta <- 1 / (1 + (1/K) sum_i rho_i / (delta rho_i + lam)) is iterated
-    from 1 - N/K; elements whose residual is then above 1e-12 finish by
-    bisection on the (strictly increasing) residual. Every result satisfies
-    |residual| <= 1e-12 or a NumericalError reports the first defect.
+    lam = 0 gives the exact value 1 - N/K. Otherwise the residual, which
+    is increasing and concave in delta on (0, 1], is solved by safeguarded
+    Newton steps from 1 - N/K. Every result satisfies |residual| <= 1e-12
+    or a NumericalError reports the first defect.
     """
     rho = np.asarray(eigenvalues, dtype=float)
     N = rho.shape[0]
@@ -140,19 +146,11 @@ def solve_delta(eigenvalues, lam, K):
     idx = np.nonzero(lams != 0.0)[0]
     if idx.size:
         sub = lams[idx]
-        d = _fixed_point(rho, sub, K)
-        res = delta_residual(d, rho, sub, K)
-        off = np.nonzero(np.abs(res) > _RESIDUAL_TOL)[0]
-        if off.size:
-            d[off] = _bisect(rho, sub[off], K)
-            res[off] = delta_residual(d[off], rho, sub[off], K)
-        stalled = np.nonzero(np.abs(res) > _RESIDUAL_TOL)[0]
-        if stalled.size:
-            j = stalled[0]
-            raise NumericalError(
-                f"delta fixed point stalled at residual {res[j]:.3e} "
-                f"(lam={sub[j]}, N={N}, K={K})")
-        delta[idx] = d
+        delta[idx] = _newton_rows(
+            lambda d, lm: _delta_terms(d, rho, lm, K), delta[idx],
+            np.zeros(idx.size), np.ones(idx.size), _RESIDUAL_TOL,
+            lambda j, r: (f"delta solve stalled at residual {r:.3e} "
+                          f"(lam={sub[j]}, N={N}, K={K})"), sub)
     return _shaped(delta, lam)
 
 
@@ -195,7 +193,7 @@ def deterministic_equivalents(R, s, lam, K):
     den = delta[:, None] * rho + lams[:, None]
     psi = np.sum(w2 / den, axis=1)
     xi = np.sum(w2 * rho / den ** 2, axis=1)
-    gamma = _square(delta) * np.sum(rho ** 2 / den ** 2, axis=1) / K
+    gamma = delta * delta * np.sum(rho ** 2 / den ** 2, axis=1) / K
     mu0 = xi / (1.0 - gamma)
     zero = lams == 0.0
     if zero.any():
@@ -223,7 +221,7 @@ def kappa(R, s, lam, K):
     """SCNR-preservation factor kappa(lam) = (1 - gamma) psi^2 / (q xi);
     lam may be a scalar or an array."""
     p = deterministic_equivalents(R, s, lam, K)
-    k = (1.0 - p.gamma) * _square(p.psi) / (p.quad_inv * p.xi)
+    k = (1.0 - p.gamma) * (p.psi * p.psi) / (p.quad_inv * p.xi)
     return float(k) if np.ndim(lam) == 0 else k
 
 
@@ -235,7 +233,7 @@ def kappa_lower(R, s, lam, K):
     from data without knowing q.
     """
     p = deterministic_equivalents(R, s, lam, K)
-    k = (1.0 - p.gamma) * _square(p.psi) / p.xi
+    k = (1.0 - p.gamma) * (p.psi * p.psi) / p.xi
     return float(k) if np.ndim(lam) == 0 else k
 
 

@@ -311,39 +311,39 @@ TINY_BUDGETS = {"threshold": 400, "pd": 64, "hist": 400}
 PINNED = {
     "fig1": (18,
         "2b7cb1c57e2a57acfb95e308ef87178f4ab5bf3813ad3a5a0dbc69448d49b492",
-        "7395d004534b0e0af8f3476796a9e8262cd5210a845caa9c58bde1bf7c52c67e",
+        "9baca64108fca4e2f241228330dc020ccc9166b91fbb4bb8493313facdd3e860",
         {}),
     "fig2": (24,
         "17fa19dd1d0869f0672ce53b455d08908cc88b820ddc1f34055bd996300ac16c",
-        "5e84fe41836562a429c51e7c2bf28dd71d2d286b1d49db519cd16fdaba0c902f",
+        "166b3f4665cbb93859267addf0fe255a480dbd7a198db79e70e6c6817a02f730",
         {}),
     "fig5": (25,
         "9517a20bb1cd0eb2f0d652784d620a62ae9682cbc1c520fed4cd867d3de5604b",
-        "9bf5ab9a5ebf69779b555ffdd0326d52e6f89968d97e089e2053f0135d0d0680",
+        "5e252c1d71197123c56d4f8e1537d277596749e9c74554d2507de714fc37bff8",
         {"fig5": {"crossing": None,
-                  "kappa_at_lambda_0": 0.9243053424193616,
+                  "kappa_at_lambda_0": 0.9243053424193619,
                   "kappa_inf": 0.791197459603113,
                   "lambda_0": 4.275415672043995,
                   "one_minus_c": 0.75}}),
     "fig6": (25,
         "ef80d418f2716ea844a654e1e5037b5183cbe2c1292696aa40200fa1d65154be",
-        "38b37a4242ad2f78f28f43813438502acf8f37445a82c3c31e7515e5941eb4fc",
-        {"fig6": {"crossing": 30.12669300772066,
-                  "kappa_at_lambda_0": 0.9109616595431766,
+        "463c9da9cd76180016845716ecea9d16bbf3c8513e1517d4adc4ad158a1bf89b",
+        {"fig6": {"crossing": 30.12669300772068,
+                  "kappa_at_lambda_0": 0.9109616595431769,
                   "kappa_inf": 0.33224517254468505,
                   "lambda_0": 3.121801982241552,
                   "one_minus_c": 0.75}}),
     "fig7": (25,
         "49ffb91dace228f834ceba8b1253bf45428aa8989005df782cb5f4255b7c445d",
-        "c493c8f50fb464ec72518b3d67efcdd9957e1f8460a6bd39f9e733eebcab125d",
+        "7aee72d8593889b27cbb00b0fd0801ad5be06d6c33c067ae43c63ce38460e17c",
         {"fig7": {"crossing": None,
-                  "kappa_at_lambda_0": 0.806360489174485,
+                  "kappa_at_lambda_0": 0.8063604891744847,
                   "kappa_inf": 0.33224517254468505,
                   "lambda_0": 6.468551353016748,
                   "one_minus_c": 0.07692307692307687}}),
     "fig8": (18,
         "91916656ba2a9bd3e9e5e04a7395a5371b379c9f0b0398a7282217c272019905",
-        "062e5df0c9b6ac64c4e04ada211cb17a9083f79f932a7b733ce6f49fc78d1f87",
+        "e7bfbc247756666f3121e305fb4569ab39fdc0b479938e492d9585c06f210943",
         {}),
     "fig9": (18,
         "d20175d47dde436a778707b55ea890dbb241ef16ab6198c0ff4e31876093a60c",
@@ -352,11 +352,11 @@ PINNED = {
     # fig10 lists its theory curves label by label, each for both targets
     "fig10": (10,
         "c9db3284701018887a612e748927290b68f65abf1409150143bcde436314532e",
-        "47c6a51a3eab86dc98e7edfd7b8261362600523795edb06762dd42fa7d3cbb4c",
+        "6f5fbbd9181344a2a3b02266ddd570ed3155d5ac3912415ec9dc3c41fcfb0e38",
         {}),
     "fig11": (18,
         "6bb76fe62596891ac103fc4f49b8f2d6257d0c347e65b8b87ed5203dcd6c2e9b",
-        "a9804765399c94bfefafbc564b3390b42e908b1f2fbb1435a1d9c35aacc8bb8a",
+        "f16d57c0c1f6b37bc1b86f5bfdaa5b1d014a7a557215b06a497ccc886296f6cf",
         {"clutter_power_sweep": [1.0, 10.0, 100.0]}),
     "fig12": (8,
         "fe921c26bead7ab97dd0dffb45038bff60d96a79a8c809b3ab6d0d28131d64a3",
@@ -364,19 +364,19 @@ PINNED = {
         {}),
     "fig13": (12,
         "384618b27c0f8a2c48eb18d6fe865a088a239d403ceb7741a8b8a9b2ba884803",
-        "f4ae2919a4e732dbfc3b73f0255f8ad6750e54775513b772b83fd9efa02d5901",
+        "e6561932f7175e168933ced21a84986914a4172c78f1e8c9afdaa05f1bc64233",
         {}),
     "fig14": (10,
         "97bd7dbe9ce9929d3b218198ea305075e9c33d6fcaf2b764650643bb48714d3d",
-        "1a01809fe39f031d156d166c337ba7b94a26973fc653a638a5d5538dd1fca19e",
+        "64700c823d6316f4bf8d54ee95b3eb6ddb38c938e3ab63f4c64e16d703bff09f",
         {"lambda_opt": 11.921143337234207}),
     "table2": (1,
         "e1c81ee75ae8a95b729cda11d8e0363af1f91afa9e2f35f2cb5e08ecad49f9c7",
-        "5e538382a88899243000921595cc5438c40baffd298d025006bcf5f3d057878f",
+        "1e128541e027f6eed2fed936fa41f050ef7ae7454e91626746b30de4c602557b",
         {}),
     "table3": (1,
         "1efca3e6f4fb77b9966341e2b1b3311256f3d11d2587d4c24661480ac519872a",
-        "18254393101b7987f8f0ecf6a4bda45aa1cc07ffff20def057e75f286c14071a",
+        "b91fa97329e99279a29e2e0557c3d9b3f27ad696748e7132b0c39834c56d0c26",
         {}),
 }
 

@@ -160,10 +160,28 @@ class TestExpectedLikelihood:
 
     def test_el_root_vacuous(self):
         # a median at or above g(0) = 1 leaves no positive root: every row
-        # of the bisection gets lam = 0, with a warning
+        # gets lam = 0, with a warning
         with pytest.warns(RuntimeWarning, match="EL median"):
             lam = estimators._el_rows(np.ones((3, 8)), 0.1)
         np.testing.assert_array_equal(lam, np.zeros(3))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_el_edge_scales(self, scale):
+        # K = N + 1 and spectra scaled so that the EL loading, which scales
+        # with them, lies near 1e-12 or 1e12: each row meets the defect
+        # bound inside its bracket (0, hi], hi doubled from max l
+        rng = np.random.default_rng(5)
+        N = 12
+        l = scale * np.exp(rng.uniform(-3.0, 3.0, (4, N)))
+        log_zeta = estimators.log_zeta_median(N, N + 1)
+        lam = estimators._el_rows(l, log_zeta)
+        for row, lr in zip(l, lam):
+            hi = row.max()
+            while estimators.el_log_g(row, hi) > log_zeta:
+                hi *= 2.0
+            assert 0.0 < lr <= hi
+            assert abs(estimators.el_log_g(row, lr) - log_zeta) \
+                <= estimators._EL_FTOL
 
 
 class TestTheta:
@@ -192,6 +210,22 @@ class TestTheta:
         xs = np.linspace(0.05, 9.0, 25)
         ths = [estimators.solve_theta(l, x, 40) for x in xs]
         assert np.all(np.diff(ths) > 0)
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e12])
+    def test_edge_loadings(self, lam):
+        # K = N + 1: theta(D1(lam)/lam) = 1/lam stays in its bracket
+        # [0, x/(1-c) + 1] and meets the residual bound
+        rng = np.random.default_rng(43)
+        N, K = 12, 13
+        c = N / K
+        l = rng.uniform(0.3, 10.0, N)
+        d1, _ = estimators.d_factors(l, lam, K)
+        x = d1 / lam
+        th = estimators.solve_theta(l, x, K)
+        assert 0.0 <= th <= x / (1.0 - c) + 1.0
+        res = th * (1.0 - c + c * np.mean(1.0 / (1.0 + th * l))) - x
+        assert abs(res) <= 1e-10 * max(1.0, x)
+        assert th == pytest.approx(1.0 / lam, rel=1e-12)
 
     def test_validation(self):
         l = np.ones(8)

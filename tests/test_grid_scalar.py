@@ -2,8 +2,11 @@
 
 rmt and estimators take lam as a scalar or an array, and the scalar is the
 one-element case of the same code; every element of an array call must
-equal the scalar call at that loading bit for bit, on the fixed-point path,
-on the bisection fallback and when the solve fails.
+equal the scalar call at that loading bit for bit. The delta, EL and theta
+equations share one safeguarded Newton row solver, rmt._newton_rows, whose
+operations are row-local: a row's root is the same bits alone or among
+others, on Newton steps, through its bisection safeguard and when the
+solve fails.
 """
 
 import numpy as np
@@ -63,22 +66,6 @@ class TestRmtGrid:
         assert isinstance(one.mu0, float)
         assert p.mu0[3, 7] == one.mu0 and p.gamma[3, 7] == one.gamma
 
-    def test_bisection_fallback(self, design, monkeypatch):
-        # one fixed-point step leaves every loaded element above the
-        # residual tolerance, so all of them finish by bisection
-        scen, R, grid = design
-        grid = grid[::8]
-        rho = R.eigenvalues
-        direct = rmt.solve_delta(rho, grid, scen.K)
-        monkeypatch.setattr(rmt, "_FP_MAX_ITER", 1)
-        _assert_elementwise(lambda g: rmt.solve_delta(rho, g, scen.K), grid)
-        bisected = rmt.solve_delta(rho, grid, scen.K)
-        assert np.any(bisected[1:] != direct[1:])
-        assert np.all(np.abs(rmt.delta_residual(bisected, rho, grid,
-                                                scen.K)) <= 1e-12)
-        _assert_elementwise(
-            lambda g: rmt.kappa(R, scen.steering, g, scen.K), grid)
-
     def test_stalled_residual_raises_on_both_paths(self, design,
                                                    monkeypatch):
         # a tolerance no residual can meet: every loaded element stalls
@@ -95,6 +82,44 @@ class TestRmtGrid:
         assert rmt.solve_delta(rho, 0.0, scen.K) == 0.5  # closed form
         with pytest.raises(NumericalError):
             rmt.kappa(R, scen.steering, grid, scen.K)
+
+
+class TestNewtonRows:
+    def test_bisection_safeguard(self):
+        # EL rows started at the top of a wide bracket, outside the Newton
+        # basin of a spectrum spread over 1e12: from there the Newton step
+        # overshoots below zero, so the rows pass through bisection steps
+        rng = np.random.default_rng(3)
+        N, K = 24, 25
+        l = np.logspace(-12.0, 0.0, N) * rng.uniform(0.5, 2.0, (6, N))
+        log_zeta = estimators.log_zeta_median(N, K)
+        hi = 1e3 * l.max(1)
+        seen = []
+
+        def excess(lam, l):
+            slope = (lam[:, None] / (l + lam[:, None]) ** 2).sum(1)
+            seen.append((lam, log_zeta - estimators._log_g_rows(l, lam),
+                         slope))
+            return seen[-1][1:]
+
+        def solve(rows):
+            seen.clear()
+            return rmt._newton_rows(excess, hi[rows], np.zeros(len(rows)),
+                                    hi[rows], estimators._EL_FTOL,
+                                    lambda j, r: "EL stalled", l[rows])
+
+        got = solve(np.arange(6))
+        for i in range(6):
+            one = solve(np.array([i]))
+            assert one[0] == got[i]
+            # an iterate that is not the Newton step from the one before
+            # it is a bisection midpoint
+            newton = [x - f / slope for x, f, slope in seen[:-1]]
+            assert any(x[0] != n[0] for (x, _, _), n in zip(seen[1:], newton))
+        log_g = estimators._log_g_rows(l, got)
+        assert np.all(np.abs(log_g - log_zeta) <= estimators._EL_FTOL)
+        np.testing.assert_allclose(got, estimators._el_rows(l, log_zeta),
+                                   rtol=1e-12)
 
 
 class TestEstimatorGrid:

@@ -54,6 +54,16 @@ class TestDelta:
         eig = scen_n24_k48.covariance().eigenvalues
         assert rmt.solve_delta(eig, 1e12, 48) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("lam", [1e-12, 1e12])
+    def test_edge_loadings(self, lam):
+        # K = N + 1 and a spectrum spread over 1e12: the root stays in
+        # [1 - N/K, 1] and meets the residual bound
+        N, K = 12, 13
+        eig = np.logspace(-6.0, 6.0, N)
+        d = rmt.solve_delta(eig, lam, K)
+        assert 1.0 - N / K <= d <= 1.0
+        assert abs(rmt.delta_residual(d, eig, lam, K)) <= 1e-12
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("lam", [1.5, np.array([0.0, 1.5, 10.0])],
                              ids=["scalar", "array"])
