@@ -66,6 +66,29 @@ class TestRmtGrid:
         assert isinstance(one.mu0, float)
         assert p.mu0[3, 7] == one.mu0 and p.gamma[3, 7] == one.gamma
 
+    def test_bisection_fallback(self, design, monkeypatch):
+        # a slope a thousand times too small sends every Newton step out of
+        # its bracket, so all loaded elements finish by the bisection
+        # safeguard; the residual itself is unchanged
+        scen, R, grid = design
+        grid = grid[::8]
+        rho = R.eigenvalues
+        direct = rmt.solve_delta(rho, grid, scen.K)
+        terms = rmt._delta_terms
+
+        def flat_slope(d, rho, lam, K):
+            res, slope = terms(d, rho, lam, K)
+            return res, 1e-3 * slope
+
+        monkeypatch.setattr(rmt, "_delta_terms", flat_slope)
+        _assert_elementwise(lambda g: rmt.solve_delta(rho, g, scen.K), grid)
+        bisected = rmt.solve_delta(rho, grid, scen.K)
+        assert np.any(bisected[1:] != direct[1:])
+        assert np.all(np.abs(rmt.delta_residual(bisected, rho, grid,
+                                                scen.K)) <= 1e-12)
+        _assert_elementwise(
+            lambda g: rmt.kappa(R, scen.steering, g, scen.K), grid)
+
     def test_stalled_residual_raises_on_both_paths(self, design,
                                                    monkeypatch):
         # a tolerance no residual can meet: every loaded element stalls
