@@ -332,8 +332,8 @@ class Curves(NamedTuple):
     """Pd on the 0:1:top_db dB SCNR grid, one scenario per panel (letter,
     N, K, theta). A theory curve is (file label, the loading its kappa comes
     from): None for the clairvoyant filter (kappa 1), 0 for the SCM
-    (1 - c), "opt" for lambda_opt, else kappa at that loading. With cfar
-    the theory is theory.cfar_dl_pd at the CFAR threshold, else the ROC.
+    (1 - c), "opt" for lambda_opt, else kappa at that loading; its Pd is
+    theory.cfar_dl_pd at that kappa and the threshold -ln(pfa).
     A kappa profile replaces tags and theory by dl-amf at its loadings
     ("opt": lambda_opt to 2 decimals), scm-amf and np, and adds the kappa
     table and a design summary."""
@@ -341,7 +341,6 @@ class Curves(NamedTuple):
     top_db: float
     tags: tuple = ()
     theory: tuple = ()
-    cfar: bool = False
     profile: tuple = ()
 
 
@@ -369,7 +368,7 @@ CURVE_ITEMS = {
                    profile=(0.5, "opt", 20.0, 200.0)),
     "fig10": Curves((("", 24, 48, 20.0),), 20.0,
                     (CFAR_DL_SCMF, CFAR_DL_AMF, NP),
-                    (("cfar-dl", LAM), (NP, None)), cfar=True),
+                    (("cfar-dl", LAM), (NP, None))),
     "fig12": Curves((("", 24, 48, 20.0),), 20.0, (EL_AMF, CFAR_EL_AMF, NP),
                     ((NP, None),)),
     "fig14": Curves((("", 24, 48, 20.0),), 20.0,
@@ -433,6 +432,7 @@ def _histograms(run, item, row, budgets, seed, workers, pfa):
 def _curves(run, item, row, budgets, seed, workers, pfa):
     grid = np.arange(0.0, row.top_db + 0.5, 1.0)
     lin = harness.db_to_linear(grid)
+    tau = theory.cfar_threshold(pfa)
     for panel, N, K, theta in row.panels:
         name = item + panel
         scen = _scen_toeplitz(N, K, theta=theta)
@@ -478,11 +478,7 @@ def _curves(run, item, row, budgets, seed, workers, pfa):
             else:
                 kv = rmt.kappa(R, s, lam, K)
             for t in TARGETS:
-                if row.cfar:
-                    y = theory.cfar_dl_pd(lin, kv, theory.cfar_threshold(pfa),
-                                          t)
-                else:
-                    y = getattr(theory, f"roc_{t}")(lin, kv, pfa)
+                y = theory.cfar_dl_pd(lin, kv, tau, t)
                 _write_curve(run.path(f"{name}_{t}_theory_{_slug(label)}.csv"),
                              Curve(x=grid, y=y))
 

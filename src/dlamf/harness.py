@@ -39,10 +39,10 @@ Each run factors S one of two ways, chosen from the detector set alone:
   corner and each loading only rewrites the diagonal. cfar-dl-amf's mu0_hat
   comes from a triangular inverse of the same factor, one matrix at a time.
 
-persym-amf factors the persymmetrized SCM by Cholesky in both routes; it
-overwrites the bordered buffer's block in place, after every fixed loading
-has been factored. Unloaded forms raise NumericalError on a numerically
-singular SCM on both routes, as evaluate_statistic does.
+persym-amf factors the persymmetrized SCM by Cholesky in both routes, in a
+bordered buffer of its own written from S before any loading. Unloaded
+forms raise NumericalError on a numerically singular SCM on both routes,
+as evaluate_statistic does.
 
 Reproducibility: for a given (seed, stream, trial, detector set) every
 statistic is bit-identical for every worker count and chunk size. Two
@@ -278,17 +278,17 @@ def _inverse_norms(L, uh):
     return tr, xn
 
 
-def _persym_forms(A, plan):
-    """persym-amf's (alpha, beta, None), overwriting A's block with the
-    persymmetrized SCM 0.5 (S + J S^T J).
+def _persym_forms(S, y0, plan):
+    """persym-amf's (alpha, beta, None) from the persymmetrized SCM
+    0.5 (S + J S^T J), written into a bordered buffer of its own.
 
     J S^T J reads the lower triangle of S where J conj(S) J reads the upper
-    one; the two agree on a Hermitian S. np.add buffers the operand that
-    overlaps its output.
+    one; the two agree on a Hermitian S.
     """
     N = plan.N
+    A = _bordered(plan, y0)
     blk = A[:, :N, :N]
-    np.add(blk, blk.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
+    np.add(S, S.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
     blk *= 0.5
     return _cholesky_forms(A, 0.0, plan, False)
 
@@ -320,9 +320,7 @@ def _reduce_block(plan, master_seed, stream, lo, hi, want_amp):
         # np.multiply, not `*`: see Reproducibility in the module docstring
         out["wz"] = np.multiply(np.conj(w), z0)
         if plan.need_persym:
-            A = _bordered(plan, y0)
-            A[:, :N, :N] = S
-            out["persym"] = _persym_forms(A, plan)
+            out["persym"] = _persym_forms(S, y0, plan)
     elif plan.need_scm:
         # one bordered buffer serves every loading: its block holds S, and
         # only the diagonal changes between factorizations
@@ -331,15 +329,13 @@ def _reduce_block(plan, master_seed, stream, lo, hi, want_amp):
         np.matmul(Y, Y.conj().transpose(0, 2, 1), out=blk)
         del Y
         blk /= K
+        if plan.need_persym:
+            out["persym"] = _persym_forms(blk, y0, plan)
         diag = np.arange(N)
         diag_S = blk[:, diag, diag]
         for lam in plan.fixed_lams:
             blk[:, diag, diag] = diag_S + lam
             out[lam] = _cholesky_forms(A, lam, plan, lam in plan.mu0_lams)
-        if plan.need_persym:
-            # last, since it overwrites the block
-            blk[:, diag, diag] = diag_S
-            out["persym"] = _persym_forms(A, plan)
     return out
 
 
@@ -581,6 +577,10 @@ def scnr_at_pd(cfg, tau, pd_target, target_model, stream=1,
         if pd_at(lo) < pd_target:
             break
         lo -= 10.0
+    else:
+        raise NumericalError(
+            f"pd never falls below {pd_target} for {label} (min scnr "
+            f"{lo + 10.0} dB); is the target below the false-alarm rate?")
     for _ in range(12):
         if pd_at(hi) >= pd_target:
             break

@@ -108,37 +108,6 @@ def dense_estimated(scm, s, lam, K):
             "d1": d1, "d2": d2}
 
 
-def marcum_series_capped(a, b):
-    """Poisson-mixture Marcum Q summed until the Poisson(a^2/2) mass reaches
-    1 - 1e-16 or 100 000 terms, whichever comes first; returns (Q, terms).
-
-    The rounded mass can settle just below 1 - 1e-16, and then every term up
-    to the cap is added. Kept as the reference for the early stop of
-    theory._marcum_series, which must return the same bits.
-    """
-    x = 0.5 * a * a
-    y = 0.5 * b * b
-    if x >= 500.0:
-        return 1.0, 0
-    if y >= 500.0:
-        return 0.0, 0
-    p = math.exp(-x)
-    t = math.exp(-y)
-    g = t
-    acc = p * g
-    cum = p
-    n = 0
-    while cum < 1.0 - 1e-16 and n < 100_000:
-        n += 1
-        p *= x / n
-        t *= y / n
-        g += t
-        acc += p * g
-        cum += p
-    acc += (1.0 - cum) * g
-    return min(max(acc, 0.0), 1.0), n
-
-
 # --- scalar detector statistics --------------------------------------------
 #
 # One trial at a time through the SCM eigendecomposition (with its clamped

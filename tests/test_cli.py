@@ -187,6 +187,15 @@ class TestLossTable:
             else:
                 assert float(r[5]) > 1.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pd_below_pfa_exits_numerical(self, tmp_path, capsys):
+        rc = cli.main(["loss-table", "--config", TOEPLITZ,
+                       "--detector", "scm-amf", "--pfa", "1e-1", "--pd",
+                       "0.01", "--threshold-trials", "400", "--trials", "200",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert _stderr_json(capsys)["kind"] == "numerical"
+
 
 class TestManifestTiming:
     SLEEP = 0.3
@@ -315,11 +324,11 @@ PINNED = {
         {}),
     "fig2": (24,
         "17fa19dd1d0869f0672ce53b455d08908cc88b820ddc1f34055bd996300ac16c",
-        "166b3f4665cbb93859267addf0fe255a480dbd7a198db79e70e6c6817a02f730",
+        "0659f89c1bea405128603e0a2ae57151eb562fae1c58919f5ea869d0aeed297c",
         {}),
     "fig5": (25,
         "9517a20bb1cd0eb2f0d652784d620a62ae9682cbc1c520fed4cd867d3de5604b",
-        "5e252c1d71197123c56d4f8e1537d277596749e9c74554d2507de714fc37bff8",
+        "dbc46dbb7e2625f3c070c1f15efe2c40a9a4dec399901bb5660c5d164bc17475",
         {"fig5": {"crossing": None,
                   "kappa_at_lambda_0": 0.9243053424193619,
                   "kappa_inf": 0.791197459603113,
@@ -327,7 +336,7 @@ PINNED = {
                   "one_minus_c": 0.75}}),
     "fig6": (25,
         "ef80d418f2716ea844a654e1e5037b5183cbe2c1292696aa40200fa1d65154be",
-        "463c9da9cd76180016845716ecea9d16bbf3c8513e1517d4adc4ad158a1bf89b",
+        "c27679d47ee403f77b176df923e93f5da06ee4fcc5325533ce745effdd3003af",
         {"fig6": {"crossing": 30.12669300772068,
                   "kappa_at_lambda_0": 0.9109616595431769,
                   "kappa_inf": 0.33224517254468505,
@@ -335,7 +344,7 @@ PINNED = {
                   "one_minus_c": 0.75}}),
     "fig7": (25,
         "49ffb91dace228f834ceba8b1253bf45428aa8989005df782cb5f4255b7c445d",
-        "7aee72d8593889b27cbb00b0fd0801ad5be06d6c33c067ae43c63ce38460e17c",
+        "8695ab538d8b9c0a19d6cc45263bb518b58a16a9f060bfd4797047eef5dde227",
         {"fig7": {"crossing": None,
                   "kappa_at_lambda_0": 0.8063604891744847,
                   "kappa_inf": 0.33224517254468505,
@@ -352,7 +361,7 @@ PINNED = {
     # fig10 lists its theory curves label by label, each for both targets
     "fig10": (10,
         "c9db3284701018887a612e748927290b68f65abf1409150143bcde436314532e",
-        "6f5fbbd9181344a2a3b02266ddd570ed3155d5ac3912415ec9dc3c41fcfb0e38",
+        "6608b8408c97ce1c6d2c2e9abad3db5d364b81b80ddd6600bdd245fb0e666621",
         {}),
     "fig11": (18,
         "6bb76fe62596891ac103fc4f49b8f2d6257d0c347e65b8b87ed5203dcd6c2e9b",
@@ -360,7 +369,7 @@ PINNED = {
         {"clutter_power_sweep": [1.0, 10.0, 100.0]}),
     "fig12": (8,
         "fe921c26bead7ab97dd0dffb45038bff60d96a79a8c809b3ab6d0d28131d64a3",
-        "dc74fd72d575b173a1afa760fdc3748f3c88857aa94a2b2f55336b4f344c198b",
+        "a61b3905df81375774c29286785c893204ebe9eee48cb5c1624f2d99a3ecfbe1",
         {}),
     "fig13": (12,
         "384618b27c0f8a2c48eb18d6fe865a088a239d403ceb7741a8b8a9b2ba884803",
@@ -368,7 +377,7 @@ PINNED = {
         {}),
     "fig14": (10,
         "97bd7dbe9ce9929d3b218198ea305075e9c33d6fcaf2b764650643bb48714d3d",
-        "64700c823d6316f4bf8d54ee95b3eb6ddb38c938e3ab63f4c64e16d703bff09f",
+        "1ba2e07222d0b06e23845ae6ca6370b3b7f54f5a8eb48b53722ce357b23f0c89",
         {"lambda_opt": 11.921143337234207}),
     "table2": (1,
         "e1c81ee75ae8a95b729cda11d8e0363af1f91afa9e2f35f2cb5e08ecad49f9c7",

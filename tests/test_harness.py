@@ -618,6 +618,13 @@ class TestSweepAndBisection:
         with pytest.raises(NumericalError):
             scnr_at_pd(cfg, 1e30, 0.5, "swerling0")
 
+    def test_scnr_at_pd_below_pfa(self, scen_n24_k48):
+        # pd never falls below the false-alarm rate, whatever the SCNR
+        cfg = TrialConfig(scen_n24_k48, DetectorSpec("np"), trials=400,
+                          master_seed=6)
+        with pytest.raises(NumericalError):
+            scnr_at_pd(cfg, theory.cfar_threshold(0.05), 0.01, "swerling0")
+
 
 class TestLossTable:
     def test_np_reference_and_expected_loss(self, scen_n24_k48):

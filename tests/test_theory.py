@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dlamf import harness, rmt, theory
+from dlamf import rmt, theory
 from dlamf.errors import ConfigError
 
 import oracles
@@ -36,17 +38,6 @@ class TestMarcum:
                                                           rel=1e-13)
         assert theory.marcum_q(0.0, 0.0) == 1.0
 
-    def test_branch_seam_accuracy(self):
-        # a*b = 30 is the series/Bessel switch; both sides must stay on
-        # the reference curve right at the seam
-        for a in (2.0, 4.0, 6.0):
-            b = 30.0 / a
-            for eps in (-1e-9, 1e-9):
-                bb = b * (1 + eps)
-                ref = stats.ncx2.sf(bb * bb, 2, a * a)
-                assert theory.marcum_q(a, bb) == pytest.approx(ref,
-                                                               abs=1e-13)
-
     def test_extreme_separation(self):
         assert theory.marcum_q(60.0, 1.0) == 1.0
         assert theory.marcum_q(1.0, 60.0) == 0.0
@@ -64,50 +55,6 @@ class TestMarcum:
         q = theory.marcum_q(a, b)
         assert theory.marcum_q(a + bump, b) >= q - 1e-12
         assert theory.marcum_q(a, b + bump) <= q + 1e-12
-
-
-class TestSeriesStop:
-    # the Poisson series stops once no later term can register; it must
-    # return the bits of the series summed to its 100 000-term cap
-    ROC_DB = np.arange(0.0, 26.25, 0.5)
-
-    def _series_points(self, kv):
-        # (a, b) of roc_swerling0(db_to_linear(ROC_DB), kv, 1e-3) that the
-        # series branch handles, built the way cfar_dl_pd builds them
-        b = math.sqrt(2.0 * theory.cfar_threshold(1e-3))
-        for e in harness.db_to_linear(self.ROC_DB) * kv:
-            a = math.sqrt(2.0 * e)
-            if a * b <= 30.0:
-                yield a, b
-
-    def test_stalled_roc_points(self):
-        capped = 0
-        for kv in (0.5, 0.9):
-            for a, b in self._series_points(kv):
-                ref, terms = oracles.marcum_series_capped(a, b)
-                capped += terms == 100_000
-                assert theory._marcum_series(a, b) == ref
-        # the reference really runs to its cap on these ROCs (on 20 of the
-        # 69 points with glibc's libm; the count depends on exp rounding)
-        assert capped >= 10
-
-    def test_stalled_example(self):
-        # 12 dB at kappa 0.9: x = 14.264..., y = 6.908...
-        x = float(harness.db_to_linear(12.0)) * 0.9
-        a, b = math.sqrt(2.0 * x), math.sqrt(2.0 * theory.cfar_threshold(1e-3))
-        ref, terms = oracles.marcum_series_capped(a, b)
-        assert terms == 100_000
-        assert theory._marcum_series(a, b) == ref
-        assert theory.roc_swerling0(harness.db_to_linear(12.0), 0.9,
-                                    1e-3) == ref
-
-    def test_series_grid(self):
-        grid = np.linspace(0.05, 12.0, 16).tolist()
-        for a in grid:
-            for b in grid:
-                if a * b <= 30.0:
-                    ref, _ = oracles.marcum_series_capped(a, b)
-                    assert theory._marcum_series(a, b) == ref, (a, b)
 
 
 class TestBessel:
@@ -134,6 +81,19 @@ class TestNcx2:
             rhs = 1.0 - theory.marcum_q(math.sqrt(nu) / math.sqrt(s2),
                                         math.sqrt(x) / math.sqrt(s2))
             assert lhs == pytest.approx(rhs, abs=1e-14)
+
+    def test_against_quadrature_oracle(self):
+        # stats.ncx2.cdf calls the chndtr that ncx2_cdf calls, so the
+        # independent check is the mpmath quadrature
+        rng = np.random.default_rng(6)
+        for _ in range(12):
+            nu = float(rng.uniform(0.0, 30.0))
+            s2 = float(rng.uniform(0.1, 4.0))
+            x = float(rng.uniform(0.01, 40.0))
+            s = math.sqrt(s2)
+            ref = 1.0 - oracles.marcum_q_quadrature(math.sqrt(nu) / s,
+                                                    math.sqrt(x) / s)
+            assert theory.ncx2_cdf(x, nu, s2) == pytest.approx(ref, abs=1e-9)
 
     def test_against_scipy(self):
         # |z|^2 with complex z: 2 sigma^2 * ncx2(df=2, nc=nu/sigma^2) / 2
@@ -178,6 +138,21 @@ class TestRoc:
                                    model)
             assert pd == pytest.approx(1e-3, rel=1e-9)
 
+    @pytest.mark.parametrize("model", ["swerling0", "swerling1"])
+    @pytest.mark.parametrize("scnr, kv, tau", [
+        (math.nan, 0.9, 3.0), (2.0, math.nan, 3.0), (2.0, 0.9, math.nan),
+        (2.0, -0.5, 3.0), (-1.0, 0.9, 3.0), (2.0, 0.9, -1.0),
+        (math.inf, 0.9, 3.0), (2.0, 0.9, math.inf),
+        (np.array([1.0, math.nan]), 0.9, 3.0)])
+    def test_rejects_bad_inputs(self, model, scnr, kv, tau):
+        with pytest.raises(ConfigError):
+            theory.cfar_dl_pd(scnr, kv, tau, model)
+
+    def test_roc_rejects_nan(self):
+        for roc in (theory.roc_swerling0, theory.roc_swerling1):
+            with pytest.raises(ConfigError):
+                roc(math.nan, 0.9, 1e-3)
+
     def test_array_broadcast(self):
         scnr = np.array([0.5, 2.0, 8.0, 32.0])
         pd = theory.roc_swerling0(scnr, 0.9, 1e-3)
@@ -207,6 +182,13 @@ class TestRoc:
             theory.roc_swerling0(scnr, kv, pfa) - 1e-12
         assert theory.roc_swerling1(scnr + bump, kv, pfa) >= \
             theory.roc_swerling1(scnr, kv, pfa) - 1e-12
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats would add more than half to `import dlamf`
+    code = ("import sys, dlamf; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestAsymptoticPfa:
