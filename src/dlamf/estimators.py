@@ -12,13 +12,15 @@ kappa_lower_hat = D1^2 psi_hat^2 / num are strongly consistent for the
 corresponding deterministic equivalents as N, K grow proportionally.
 
 All of these sums come from one row kernel, _loaded_rows, which takes B
-spectra with m loadings each: the scalar API (d_factors,
-estimated_equivalents and its accessors, which take lam as a scalar or an
-array) is one row of it, and the trial engine and the adaptive loading
-search pass many. The expected-likelihood (EL) loading factor is one row of
-_el_rows in the same way. _el_rows and the theta transform that links
-sample and population resolvents solve their monotone equations with the
-safeguarded Newton row solver of rmt, the one that solves for delta.
+spectra with m loadings each and one reciprocal 1/(l_i + lam) per
+eigenvalue and loading, from which it forms every sum: the scalar API
+(d_factors, estimated_equivalents and its accessors, which take lam as a
+scalar or an array) is one row of it, and the trial engine and the
+adaptive loading search pass many. The expected-likelihood (EL) loading
+factor is one row of _el_rows in the same way. _el_rows and the theta
+transform that links sample and population resolvents solve their
+monotone equations with the safeguarded Newton row solver of rmt, the one
+that solves for delta.
 """
 
 from __future__ import annotations
@@ -50,17 +52,30 @@ def _loaded_rows(l, w2, lams, K, wz=None):
     l (eigenvalues) and w2 = |V^H s|^2 are (B, N) rows and lams is (B, m).
     Returns D1, psi = sum_i w2_i / (l_i + lam) and
     num = sum_i w2_i l_i / (l_i + lam)^2, each (B, m), and with the rows
-    wz = conj(V^H s) (V^H y0) also alpha = sum_i wz_i / (l_i + lam). One row
-    is the scalar API; the trial engine and the adaptive loading search pass
-    many. Only the scalar API needs D2, which _d2_rows gives.
+    wz = conj(V^H s) (V^H y0) also alpha = sum_i wz_i / (l_i + lam). Each
+    element takes one reciprocal 1/(l_i + lam): D1 sums the reciprocals,
+    psi and alpha (its real and imaginary parts apart) are their products
+    with the rows, and num the product of their squares with w2 l. Each
+    sum over i is one dot product per (row, loading) (np.vecdot, and
+    np.einsum for the plain sum), whose bits do not depend on B or m, so a
+    loading's value does not depend on its neighbours; a batched matmul
+    would not keep that. One row is the scalar API; the trial engine and
+    the adaptive loading search pass many. Only the scalar API needs D2,
+    which _d2_rows gives.
     """
     loaded = l[:, None, :] + lams[:, :, None]
-    d1 = (1.0 - l.shape[1] / K) + lams * (1.0 / loaded).sum(-1) / K
-    psi = (w2[:, None, :] / loaded).sum(-1)
-    num = (w2[:, None, :] * l[:, None, :] / loaded ** 2).sum(-1)
+    inv = np.divide(1.0, loaded, out=loaded)
+    d1 = (1.0 - l.shape[1] / K) + lams * np.einsum("bmn->bm", inv) / K
+    psi = np.vecdot(inv, w2[:, None, :])
+    if wz is not None:
+        alpha = np.empty(psi.shape, dtype=complex)
+        alpha.real = np.vecdot(inv, wz.real[:, None, :])
+        alpha.imag = np.vecdot(inv, wz.imag[:, None, :])
+    inv *= inv
+    num = np.vecdot(inv, (w2 * l)[:, None, :])
     if wz is None:
         return d1, psi, num
-    return d1, psi, num, (wz[:, None, :] / loaded).sum(-1)
+    return d1, psi, num, alpha
 
 
 def _d2_rows(l, lams, K):

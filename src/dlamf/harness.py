@@ -28,9 +28,11 @@ opt searches included, and its assemble turns them into each kind's
 Each run factors S one of two ways, chosen from the detector set alone:
 
 - spectral route, when the set holds a kind that picks its loading per
-  trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): one batched eigh of each
-  block of S, with the eigenvalues clamped at EIG_FLOOR_REL of the largest
-  as the scalar path clamps them. A block keeps the rows l, |V^H s|^2 and
+  trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): LAPACK zhetrd reduces each
+  S to a real tridiagonal matrix and dstev gives its eigenvalues and real
+  eigenvectors, so no complex eigenvectors are formed (_spectral_rows).
+  The eigenvalues are clamped at EIG_FLOOR_REL of the largest as the
+  scalar path clamps them. A block keeps the rows l, |V^H s|^2 and
   conj(V^H s) (V^H y0), and spectral_forms runs once over the chunk's rows;
 - Cholesky route, for every other set: one bordered Cholesky factorization
   of S + lam I per distinct fixed loading (lam = 0 for scm-amf and the
@@ -40,9 +42,9 @@ Each run factors S one of two ways, chosen from the detector set alone:
   comes from a triangular inverse of the same factor, one matrix at a time.
 
 persym-amf factors the persymmetrized SCM by Cholesky in both routes, in a
-bordered buffer of its own written from S before any loading. Unloaded
-forms raise NumericalError on a numerically singular SCM on both routes,
-as evaluate_statistic does.
+bordered buffer of its own written from S before any loading is factored
+or S is reduced. Unloaded forms raise NumericalError on a numerically
+singular SCM on both routes, as evaluate_statistic does.
 
 Reproducibility: for a given (seed, stream, trial, detector set) every
 statistic is bit-identical for every worker count and chunk size. Two
@@ -62,12 +64,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import ztrtri
+from scipy.linalg.lapack import dstev, zhetrd, zhetrd_lwork, ztrtri
 
 from . import detectors
 from .detectors import NP, DetectorSpec
 from .errors import ConfigError, NumericalError
-from .optimizer import lambda_opt
+from .optimizer import OptConfig, lambda_opt
 from .results import Curve, Histogram
 from .scenario import EIG_FLOOR_REL, philox_key
 
@@ -162,8 +164,11 @@ class _BatchPlan(detectors.Plan):
         self.sqrtR = R.sqrt_matrix()
         self.block = max(1, min(_BLOCK, _BLOCK_BYTES
                                 // (16 * self.N * (self.K + 1))))
-        # factorization route: eigh only when a loading is chosen per trial
+        # factorization route: a spectrum only when a loading is chosen per
+        # trial
         self.spectral = self.need_el or self.need_opt
+        if self.spectral:
+            self.lwork = int(zhetrd_lwork(self.N, lower=1)[0].real)
 
 
 def _reset_state(bitgen, ctr, key, buf, trial):
@@ -293,6 +298,53 @@ def _persym_forms(S, y0, plan):
     return _cholesky_forms(A, 0.0, plan, False)
 
 
+def _spectral_rows(S, y0, plan):
+    """The rows l, w2 = |V^H s|^2 and wz = conj(V^H s) (V^H y0) of a block.
+
+    S holds the block's SCMs and is overwritten. Each S^T = conj(S), a
+    Fortran-ordered view, goes through zhetrd, which reduces it to a real
+    tridiagonal T = Q^H conj(S) Q, and dstev, which gives T = U diag(l) U^T.
+    The eigenvectors of S are then V = conj(Q) U, so V^H x is the conjugate
+    of U^T Q^H conj(x): the stored reflectors of Q act on conj(s) and
+    conj(y0) of every trial at once, and U^T on both.
+    """
+    B, N = y0.shape
+    l = np.empty((B, N))
+    Ut = np.empty((B, N, N))
+    tau = np.empty((B, N - 1), dtype=complex)
+    for b in range(B):
+        # the reflectors H(i) = I - tau_i v_i v_i^H stay in S[b]'s upper
+        # triangle: v_i is 0 before entry i+1, 1 there, then S[b, i, i+2:]
+        _, d, e, tau[b], info = zhetrd(S[b].T, lower=1, lwork=plan.lwork,
+                                       overwrite_a=1)
+        if not info:
+            # dstev wants one off-diagonal entry even when N = 1
+            l[b], U, info = dstev(d, e if N > 1 else np.zeros(1),
+                                  overwrite_d=1, overwrite_e=1)
+        if info:
+            raise NumericalError(
+                f"tridiagonal eigensolver failed (info={info})")
+        Ut[b] = U.T
+    # x = Q^H conj([s, y0]) = H(N-2)^H ... H(0)^H conj([s, y0])
+    x = np.empty((B, 2, N), dtype=complex)
+    x[:, 0] = np.conj(plan.s)
+    x[:, 1] = np.conj(y0)
+    for i in range(N - 1):
+        v = S[:, i, i + 1:].copy()
+        v[:, 0] = 1.0
+        # np.multiply, not `*`: see Reproducibility in the module docstring
+        c = np.multiply(np.conj(tau[:, i, None]),
+                        np.multiply(np.conj(v)[:, None, :],
+                                    x[:, :, i + 1:]).sum(-1))
+        x[:, :, i + 1:] -= np.multiply(c[:, :, None], v[:, None, :])
+    # U^T x on the real and imaginary parts as four real columns
+    x = np.matmul(Ut, x.transpose(0, 2, 1).copy().view(float)).view(complex)
+    w2 = np.abs(x[:, :, 0]) ** 2
+    # the floor HermitianSpectrum.from_matrix sets in the scalar path
+    return {"l": np.maximum(l, EIG_FLOOR_REL * l[:, -1:]), "w2": w2,
+            "wz": np.multiply(x[:, :, 0], np.conj(x[:, :, 1]))}
+
+
 def _reduce_block(plan, master_seed, stream, lo, hi, want_amp):
     """Draw trials [lo, hi) and reduce them to what the statistics need.
 
@@ -307,20 +359,13 @@ def _reduce_block(plan, master_seed, stream, lo, hi, want_amp):
     if want_amp:
         out["amp"] = amp
     if plan.spectral:
-        S = np.matmul(Y, Y.conj().transpose(0, 2, 1)) / K
+        S = np.matmul(Y, Y.conj().transpose(0, 2, 1))
         del Y
-        S = 0.5 * (S + S.conj().transpose(0, 2, 1))
-        l, V = np.linalg.eigh(S)
-        # the floor HermitianSpectrum.from_matrix sets in the scalar path
-        out["l"] = np.maximum(l, EIG_FLOOR_REL * l[:, -1:])
-        Vh = V.conj().transpose(0, 2, 1)
-        w = np.matmul(Vh, plan.s)
-        z0 = np.matmul(Vh, y0[..., None])[..., 0]
-        out["w2"] = np.abs(w) ** 2
-        # np.multiply, not `*`: see Reproducibility in the module docstring
-        out["wz"] = np.multiply(np.conj(w), z0)
+        S /= K
         if plan.need_persym:
+            # first, since the spectral rows overwrite S
             out["persym"] = _persym_forms(S, y0, plan)
+        out.update(_spectral_rows(S, y0, plan))
     elif plan.need_scm:
         # one bordered buffer serves every loading: its block holds S, and
         # only the diagonal changes between factorizations

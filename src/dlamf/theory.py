@@ -1,10 +1,12 @@
 """Closed-form detection curves: Marcum Q, noncentral chi-square, ROCs.
 
-The Marcum Q function is one minus SciPy's noncentral chi-square CDF
-(scipy.special.chndtr); tests check it against an mpmath quadrature
-oracle. scipy.stats is not imported: it would add more than half to the
-package's import time. Every detection probability, of either target
-model, is cfar_dl_pd at its threshold; the ROCs use -ln(pfa).
+The Marcum Q function and the noncentral chi-square CDF come from SciPy's
+noncentral chi-square CDF (scipy.special.chndtr), each arranged so that no
+small value is one minus a number near one; tests check both against an
+mpmath quadrature oracle. scipy.stats is not imported: it would add more
+than half to the package's import time. Every detection probability, of
+either target model, is cfar_dl_pd at its threshold; the ROCs use
+-ln(pfa).
 """
 
 from __future__ import annotations
@@ -33,25 +35,31 @@ def marcum_q(a, b):
     Q_1(a, b) is the survival function at b^2 of a noncentral chi-square
     with two degrees of freedom, unit component variance and noncentrality
     a^2: exactly the h1 exceedance probability of a square-law detector.
+    That is 1 - chndtr(b^2, 2, a^2), which cancels where Q_1 is small. For
+    b > a the identity Q_1(a, b) + Q_1(b, a) = 1 + exp(-(a^2+b^2)/2) I_0(ab)
+    gives Q_1(a, b) = exp(-(b-a)^2/2) i0e(ab) + chndtr(a^2, 2, b^2) instead,
+    a sum of two nonnegative terms.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a >= 0) & (b >= 0)):
         raise ConfigError(f"marcum_q needs finite a, b >= 0, got a={a} b={b}")
-    q = 1.0 - sp.chndtr(b * b, 2.0, a * a)
+    gap = b - a
+    tail = (np.exp(-0.5 * gap * gap) * sp.i0e(a * b)
+            + sp.chndtr(a * a, 2.0, b * b))
+    q = np.where(b > a, tail, 1.0 - sp.chndtr(b * b, 2.0, a * a))
     return float(q) if q.ndim == 0 else q
 
 
 def ncx2_cdf(x, nu, sigma2):
     """CDF of |z1|^2 + |z2|^2 with z_i Gaussian, variance sigma2 each and
     squared mean offsets summing to nu: F(x) = 1 - Q_1(sqrt(nu)/sigma,
-    sqrt(x)/sigma)."""
+    sqrt(x)/sigma), taken as chndtr(x/sigma2, 2, nu/sigma2) itself."""
     if sigma2 <= 0:
         raise ConfigError("sigma2 must be > 0")
     if nu < 0 or x < 0:
         raise ConfigError("ncx2_cdf needs x >= 0 and nu >= 0")
-    s = math.sqrt(sigma2)
-    return 1.0 - marcum_q(math.sqrt(nu) / s, math.sqrt(x) / s)
+    return float(sp.chndtr(x / sigma2, 2.0, nu / sigma2))
 
 
 def ncx2_pdf(x, nu, sigma2):

@@ -324,11 +324,11 @@ PINNED = {
         {}),
     "fig2": (24,
         "17fa19dd1d0869f0672ce53b455d08908cc88b820ddc1f34055bd996300ac16c",
-        "0659f89c1bea405128603e0a2ae57151eb562fae1c58919f5ea869d0aeed297c",
+        "76e15522e43239d2321a5c61a62b42b01866d0178b3799f60a7ee4608e34b414",
         {}),
     "fig5": (25,
         "9517a20bb1cd0eb2f0d652784d620a62ae9682cbc1c520fed4cd867d3de5604b",
-        "dbc46dbb7e2625f3c070c1f15efe2c40a9a4dec399901bb5660c5d164bc17475",
+        "9f798accc06ed65df1edca5f7a6cba3069a8d7b6ecc705f188918ada24793829",
         {"fig5": {"crossing": None,
                   "kappa_at_lambda_0": 0.9243053424193619,
                   "kappa_inf": 0.791197459603113,
@@ -336,7 +336,7 @@ PINNED = {
                   "one_minus_c": 0.75}}),
     "fig6": (25,
         "ef80d418f2716ea844a654e1e5037b5183cbe2c1292696aa40200fa1d65154be",
-        "c27679d47ee403f77b176df923e93f5da06ee4fcc5325533ce745effdd3003af",
+        "4fd8d731e53c69ea37f7d86ef0632e1b5e60679bf91427cef63fde153d9e4df5",
         {"fig6": {"crossing": 30.12669300772068,
                   "kappa_at_lambda_0": 0.9109616595431769,
                   "kappa_inf": 0.33224517254468505,
@@ -344,7 +344,7 @@ PINNED = {
                   "one_minus_c": 0.75}}),
     "fig7": (25,
         "49ffb91dace228f834ceba8b1253bf45428aa8989005df782cb5f4255b7c445d",
-        "8695ab538d8b9c0a19d6cc45263bb518b58a16a9f060bfd4797047eef5dde227",
+        "5e40572a0c8bfd559cd3b1b354c09a63997ee62d1c5825be2e164b1e69f872b2",
         {"fig7": {"crossing": None,
                   "kappa_at_lambda_0": 0.8063604891744847,
                   "kappa_inf": 0.33224517254468505,
@@ -361,31 +361,31 @@ PINNED = {
     # fig10 lists its theory curves label by label, each for both targets
     "fig10": (10,
         "c9db3284701018887a612e748927290b68f65abf1409150143bcde436314532e",
-        "6608b8408c97ce1c6d2c2e9abad3db5d364b81b80ddd6600bdd245fb0e666621",
+        "7c7f3c3e139d654e02a8a91bd23e98311d25f8efa17dbe0328258f582e06a860",
         {}),
     "fig11": (18,
         "6bb76fe62596891ac103fc4f49b8f2d6257d0c347e65b8b87ed5203dcd6c2e9b",
-        "f16d57c0c1f6b37bc1b86f5bfdaa5b1d014a7a557215b06a497ccc886296f6cf",
+        "bddfcadd1ec423888996cf38aedb01ebe2765265b25cf061a5b39baa61658eb2",
         {"clutter_power_sweep": [1.0, 10.0, 100.0]}),
     "fig12": (8,
         "fe921c26bead7ab97dd0dffb45038bff60d96a79a8c809b3ab6d0d28131d64a3",
-        "a61b3905df81375774c29286785c893204ebe9eee48cb5c1624f2d99a3ecfbe1",
+        "cab9b944b41f2e007ce909197402c4fd9fb4291eb720e0133026757b755e710a",
         {}),
     "fig13": (12,
         "384618b27c0f8a2c48eb18d6fe865a088a239d403ceb7741a8b8a9b2ba884803",
-        "e6561932f7175e168933ced21a84986914a4172c78f1e8c9afdaa05f1bc64233",
+        "04f17ae76f635cfd2fd41b10642c344242326fa7a11d13064566f297fc7f039c",
         {}),
     "fig14": (10,
         "97bd7dbe9ce9929d3b218198ea305075e9c33d6fcaf2b764650643bb48714d3d",
-        "1ba2e07222d0b06e23845ae6ca6370b3b7f54f5a8eb48b53722ce357b23f0c89",
+        "571265d580f5c7e3435b9507cd8d4471df2259d3a9beb3b3b1e77cdd67970b2c",
         {"lambda_opt": 11.921143337234207}),
     "table2": (1,
         "e1c81ee75ae8a95b729cda11d8e0363af1f91afa9e2f35f2cb5e08ecad49f9c7",
-        "1e128541e027f6eed2fed936fa41f050ef7ae7454e91626746b30de4c602557b",
+        "f74ec661f0e313f5a583eef73b5c31a06341933210463935c4f452c68461f9c1",
         {}),
     "table3": (1,
         "1efca3e6f4fb77b9966341e2b1b3311256f3d11d2587d4c24661480ac519872a",
-        "b91fa97329e99279a29e2e0557c3d9b3f27ad696748e7132b0c39834c56d0c26",
+        "a63e4ffd6fabc0cc9e41262b234e7707fe49e7c35ed48c518e331c407e808c22",
         {}),
 }
 

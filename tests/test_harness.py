@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from hypothesis import strategies as st
 from dlamf import detectors, harness, theory
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
+from dlamf.estimators import _loaded_rows
 from dlamf.optimizer import OptConfig, lambda_opt
 from dlamf.harness import (TrialConfig, _BatchPlan, _eval_chunk, _generate,
-                           calibrate_threshold, detection_loss_table,
-                           empirical_pdf, estimate_pd, h0_statistics,
-                           pd_evaluator, pd_vs_scnr_sweep, scnr_at_pd,
-                           threshold_from_stats, wilson_ci)
-from dlamf.scenario import (LowRankClutter, Scenario, Swerling0, Swerling1,
-                            ToeplitzClutter, sample_dataset, scm, trial_rng)
+                           _spectral_rows, calibrate_threshold,
+                           detection_loss_table, empirical_pdf, estimate_pd,
+                           h0_statistics, pd_evaluator, pd_vs_scnr_sweep,
+                           scnr_at_pd, threshold_from_stats, wilson_ci)
+from dlamf.scenario import (EIG_FLOOR_REL, LowRankClutter, Scenario,
+                            Swerling0, Swerling1, ToeplitzClutter,
+                            sample_dataset, scm, trial_rng)
 
 import oracles
 from conftest import toeplitz_scenario
@@ -68,6 +71,10 @@ class TestTrialConfig:
             TrialConfig(scen_n24_k48, spec, trials=10, chunk=0)
         with pytest.raises(ConfigError):
             TrialConfig(scen_n24_k48, [], trials=10).spec_list()
+
+    def test_type_hints_resolve(self):
+        assert typing.get_type_hints(TrialConfig)["opt_config"] == \
+            OptConfig | None
 
     def test_spec_list_forms(self, scen_n24_k48):
         one = DetectorSpec("np")
@@ -211,8 +218,9 @@ class TestBatchScalarAgreement:
                                        rtol=1e-10, atol=0, err_msg=sp.label)
 
     def test_set_composition_invariant(self, scen_n24_k48):
-        # persym-amf first: every loading shares one buffer, which the
-        # persymmetrized SCM overwrites, so no kind may see its neighbours
+        # persym-amf first: it writes the persymmetrized SCM into a buffer
+        # of its own before any loading is factored, and no kind may see
+        # its neighbours
         specs = _fixed_specs()
         specs.sort(key=lambda sp: sp.kind != "persym-amf")
         together = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0, 0, 64,
@@ -267,6 +275,62 @@ class TestSingularScm:
         for specs in ([dl], [dl, DetectorSpec("el-amf")]):
             stats = h0_statistics(scen, specs, 16, master_seed=0)
             assert np.all(np.isfinite(stats[dl.label]))
+
+
+def _eigh_rows(S, y0, s):
+    """l, w2 and wz of a block of SCMs from a batched complex eigh."""
+    l, V = np.linalg.eigh(S)
+    Vh = V.conj().transpose(0, 2, 1)
+    w = Vh @ s
+    z = (Vh @ y0[..., None])[..., 0]
+    return (np.maximum(l, EIG_FLOOR_REL * l[:, -1:]), np.abs(w) ** 2,
+            np.conj(w) * z)
+
+
+class TestSpectralRows:
+    """The tridiagonal rows against the rows of a complex eigh, through the
+    loaded sums they feed: D1, psi, num and alpha at loadings 1e-3, 1 and
+    1e3 times each row's mean eigenvalue. A cluster of equal eigenvalues
+    leaves w2 free within it, so only sums are compared."""
+
+    @staticmethod
+    def _compare(S, y0, plan):
+        ref = _eigh_rows(S, y0, plan.s)
+        got = _spectral_rows(S.copy(), y0, plan)
+        top = ref[0][:, -1:]
+        assert np.all(np.abs(got["l"] - ref[0]) <= 1e-12 * top)
+        lams = np.mean(ref[0], axis=1)[:, None] * np.array([1e-3, 1.0, 1e3])
+        want = _loaded_rows(*ref[:2], lams, plan.K, ref[2])
+        have = _loaded_rows(got["l"], got["w2"], lams, plan.K, got["wz"])
+        for name, a, b in zip(("d1", "psi", "num", "alpha"), have, want):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=0,
+                                       err_msg=name)
+
+    @staticmethod
+    def _drawn(scen, trials=64):
+        plan = _BatchPlan(scen, [DetectorSpec("el-amf")])
+        y0, Y, _ = _generate(plan, 3, 0, 0, trials, False)
+        return np.matmul(Y, Y.conj().transpose(0, 2, 1)) / scen.K, y0, plan
+
+    @pytest.mark.parametrize("scen", [
+        toeplitz_scenario(24, 48), toeplitz_scenario(1, 4),
+        toeplitz_scenario(2, 4), toeplitz_scenario(8, 9),
+        _singular_scenario()],
+        ids=["criterion4", "n1", "n2", "k-n-plus-1", "singular"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_match_eigh(self, scen):
+        self._compare(*self._drawn(scen))
+
+    def test_repeated_eigenvalues(self):
+        # S = I + u u^H: eigenvalue 1 with multiplicity N - 1
+        N, B = 6, 16
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((B, N)) + 1j * rng.standard_normal((B, N))
+        S = np.eye(N) + u[:, :, None] * np.conj(u[:, None, :])
+        y0 = rng.standard_normal((B, N)) + 1j * rng.standard_normal((B, N))
+        plan = _BatchPlan(toeplitz_scenario(N, 2 * N),
+                          [DetectorSpec("el-amf")])
+        self._compare(S, y0, plan)
 
 
 def _outcome(fn):

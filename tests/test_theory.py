@@ -32,6 +32,20 @@ class TestMarcum:
             ref = stats.ncx2.sf(b * b, 2, a * a) if a > 0 else math.exp(-b * b / 2)
             assert theory.marcum_q(a, b) == pytest.approx(ref, abs=5e-13)
 
+    def test_small_tail_against_quadrature_oracle(self):
+        # Q_1 near 4e-12, where one minus a CDF keeps only four digits
+        ref = oracles.marcum_q_quadrature(1.0, 8.0)
+        # abs=0: approx would otherwise accept anything within 1e-12
+        assert theory.marcum_q(1.0, 8.0) == pytest.approx(ref, rel=1e-9,
+                                                          abs=0)
+        assert theory.marcum_q(0.0, 10.0) == pytest.approx(math.exp(-50.0),
+                                                           rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("pfa", [1e-6, 1e-9, 1e-12])
+    def test_zero_scnr_gives_pfa(self, pfa):
+        pd = theory.cfar_dl_pd(0.0, 1.0, -math.log(pfa), "swerling0")
+        assert pd == pytest.approx(pfa, rel=1e-12, abs=0)
+
     def test_edge_cases(self):
         assert theory.marcum_q(3.0, 0.0) == 1.0
         assert theory.marcum_q(0.0, 2.0) == pytest.approx(math.exp(-2.0),
@@ -100,6 +114,12 @@ class TestNcx2:
         for nu, s2, x in ((4.0, 1.0, 6.0), (0.5, 0.25, 1.0), (9.0, 2.0, 14.0)):
             ref = stats.ncx2.cdf(x / s2, 2, nu / s2)
             assert theory.ncx2_cdf(x, nu, s2) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-20, 1e-10, 1e-3])
+    def test_small_x_relative(self, x):
+        # central chi-square with two degrees of freedom: 1 - exp(-x/2)
+        assert theory.ncx2_cdf(x, 0.0, 1.0) == pytest.approx(
+            -math.expm1(-x / 2.0), rel=1e-12, abs=0)
 
     def test_pdf_integrates_to_cdf(self):
         from scipy.integrate import quad
