@@ -192,8 +192,9 @@ def _parse_scnr_grid(spec):
         lo, step, hi = (float(p) for p in parts)
     except ValueError as e:
         raise ConfigError(f"bad --scnr-db {spec!r}: {e}") from e
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"--scnr-db needs STEP > 0 and HI >= LO, got {spec!r}")
+    if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
+        raise ConfigError("--scnr-db needs finite LO, STEP, HI with STEP > 0 "
+                          f"and HI >= LO, got {spec!r}")
     return np.arange(lo, hi + 0.5 * step, step)
 
 

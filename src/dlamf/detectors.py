@@ -24,6 +24,7 @@ structurally barred from the truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,10 @@ class DetectorSpec:
             raise ConfigError(f"unknown detector kind {self.kind!r}; "
                               f"expected one of {ALL_TAGS}")
         if self.kind in FIXED_LAMBDA_TAGS:
-            if self.lam is None or self.lam < 0:
-                raise ConfigError(
-                    f"detector {self.kind!r} needs a loading factor >= 0")
+            # nan and inf fail the comparison too, as in rmt._loadings
+            if self.lam is None or not 0.0 <= self.lam < math.inf:
+                raise ConfigError(f"detector {self.kind!r} needs a finite "
+                                  f"loading factor >= 0, got {self.lam}")
         elif self.lam is not None:
             raise ConfigError(
                 f"detector {self.kind!r} does not take a loading factor")

@@ -6,14 +6,15 @@ is a pure function of the configuration and seed no matter how chunks are
 scheduled or how many workers run; a unit test pins the batched generator
 against the documented scalar construction bit for bit.
 
-Detection probabilities use a frozen-coefficient trick: the target amplitude
-b enters every statistic through s^H M^{-1} (y0 + b s) = alpha + b * beta
-with alpha, beta, and the normalizer depending only on the noise draw and
-the SCM (per-trial loading factors included, since they are functions of the
-SCM alone). One simulation pass therefore serves every SCNR on the sweep,
-and SCNR-at-Pd bisection re-thresholds cached coefficients instead of
-re-simulating. Swerling 0 and Swerling I share the same draws through a
-frozen unit amplitude per trial.
+A target of amplitude b enters every statistic through the filter output
+s^H M^{-1} (y0 + b s) = alpha + b * beta, with alpha, beta and the
+normalizer depending only on the noise draw and the SCM (per-trial loading
+factors included, since they are functions of the SCM alone). So a chunk
+runs one pass for h0 and h1 alike: it returns these coefficients and a
+frozen unit amplitude per trial, and _statistic forms the statistic at any
+b, the h0 one at b = 0. One pass serves every SCNR on a sweep and both
+Swerling 0 and Swerling I targets, and SCNR-at-Pd bisection re-thresholds
+cached coefficients instead of re-simulating.
 
 Within a chunk, trials are drawn, colored, reduced to their sample
 covariances S and factored a block at a time: at most _BLOCK trials, and
@@ -179,8 +180,9 @@ def _reset_state(bitgen, ctr, key, buf, trial):
                     "has_uint32": 0, "uinteger": 0}
 
 
-def _generate(plan, master_seed, stream, lo, hi, want_amp):
-    """Raw colored snapshots for trials [lo, hi) plus unit amplitudes."""
+def _generate(plan, master_seed, stream, lo, hi):
+    """Raw colored snapshots for trials [lo, hi) plus unit amplitudes,
+    drawn after each trial's snapshot normals in its Philox block."""
     B = hi - lo
     N, K = plan.N, plan.K
     M = K + 1
@@ -191,12 +193,11 @@ def _generate(plan, master_seed, stream, lo, hi, want_amp):
     ctr = np.zeros(4, np.uint64)
     buf = np.zeros(4, np.uint64)
     raw = np.empty((B, 2 * nm))
-    amp = np.empty((B, 2)) if want_amp else None
+    amp = np.empty((B, 2))
     for i in range(B):
         _reset_state(bitgen, ctr, key, buf, lo + i)
         gen.standard_normal(out=raw[i])
-        if want_amp:
-            gen.standard_normal(out=amp[i])
+        gen.standard_normal(out=amp[i])
     # reals then imaginaries per trial; equal bit for bit to
     # (re + 1j * im) / sqrt(2), without the complex temporaries
     Z = np.empty((B, N, M), dtype=complex)
@@ -205,9 +206,9 @@ def _generate(plan, master_seed, stream, lo, hi, want_amp):
     del raw
     Z /= _SQRT2
     colored = np.matmul(plan.sqrtR, Z)
-    amp_c = (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2 if want_amp else None
     # y0 is a copy, so dropping the secondaries frees the snapshot array
-    return colored[:, :, 0].copy(), colored[:, :, 1:], amp_c
+    return (colored[:, :, 0].copy(), colored[:, :, 1:],
+            (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2)
 
 
 def _bordered(plan, y0):
@@ -345,19 +346,17 @@ def _spectral_rows(S, y0, plan):
             "wz": np.multiply(x[:, :, 0], np.conj(x[:, :, 1]))}
 
 
-def _reduce_block(plan, master_seed, stream, lo, hi, want_amp):
+def _reduce_block(plan, master_seed, stream, lo, hi):
     """Draw trials [lo, hi) and reduce them to what the statistics need.
 
-    Returns y0, the unit amplitudes when asked, persym-amf's forms when
-    planned, and per route either the spectral rows l, w2 = |V^H s|^2 and
+    Returns y0, the unit amplitudes, persym-amf's forms when planned, and
+    per route either the spectral rows l, w2 = |V^H s|^2 and
     wz = conj(V^H s) (V^H y0), or the Cholesky forms of each fixed loading
     (keyed by the loading). Nothing of size N x K outlives the block.
     """
-    y0, Y, amp = _generate(plan, master_seed, stream, lo, hi, want_amp)
+    y0, Y, amp = _generate(plan, master_seed, stream, lo, hi)
     N, K = plan.N, plan.K
-    out = {"y0": y0}
-    if want_amp:
-        out["amp"] = amp
+    out = {"y0": y0, "amp": amp}
     if plan.spectral:
         S = np.matmul(Y, Y.conj().transpose(0, 2, 1))
         del Y
@@ -384,39 +383,33 @@ def _reduce_block(plan, master_seed, stream, lo, hi, want_amp):
     return out
 
 
-def _eval_chunk(plan, master_seed, stream, lo, hi, mode):
-    """Evaluate all planned detectors on trials [lo, hi).
+def _eval_chunk(plan, master_seed, stream, lo, hi):
+    """Evaluate all planned detectors on trials [lo, hi) in one pass.
 
-    mode 'h0' returns {label: statistics}; mode 'coeff' returns
-    {label: (alpha, beta, norm)} plus the frozen unit amplitudes under
-    '__amp__'. alpha, beta are the affine pieces of the filter output in the
-    target amplitude; norm is the per-trial normalizer.
+    Returns ({label: (alpha, beta, norm)}, amp): alpha and beta are the
+    affine pieces of the filter output in the target amplitude, norm the
+    per-trial normalizer and amp the frozen unit amplitudes. The h0
+    statistic is _statistic at b = 0, so the same pass serves h0 and h1.
 
     Trials are drawn and reduced a block at a time; the loading searches
     and the spectral forms then run once over the chunk's rows.
     """
-    want_amp = mode == "coeff"
     red = _merge([_reduce_block(plan, master_seed, stream, b,
-                                min(b + plan.block, hi), want_amp)
+                                min(b + plan.block, hi))
                   for b in range(lo, hi, plan.block)])
     forms = red
     if plan.spectral:
         forms = {**red, **plan.spectral_forms(red["l"], red["w2"],
                                                red["wz"])}
-    out = {}
-    for sp in plan.specs:
-        alpha, beta, norm = plan.assemble(sp, forms, red["y0"])
-        if mode == "h0":
-            out[sp.label] = np.abs(alpha) ** 2 / norm
-        else:
-            out[sp.label] = (alpha, beta, norm)
-    if want_amp:
-        out["__amp__"] = red["amp"]
-    return out
+    return ({sp.label: plan.assemble(sp, forms, red["y0"])
+             for sp in plan.specs}, red["amp"])
 
 
-def _chunk_call(args):
-    return _eval_chunk(*args)
+def _statistic(coeffs, b):
+    """|alpha + b beta|^2 / norm of one detector's (alpha, beta, norm) at
+    target amplitude b; b = 0 gives the h0 statistic."""
+    alpha, beta, norm = coeffs
+    return np.abs(alpha + b * beta) ** 2 / norm
 
 
 def _merge(parts):
@@ -433,23 +426,28 @@ def _merge(parts):
     return merged
 
 
-def _run_batches(plan, trials, master_seed, stream, workers, chunk, mode):
-    ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    args = [(plan, master_seed, stream, lo, hi, mode) for lo, hi in ranges]
-    if workers <= 1 or len(args) == 1:
-        parts = [_chunk_call(a) for a in args]
+def _run_batches(plan, cfg, stream):
+    """_eval_chunk over cfg's trials chunk by chunk, merged in order."""
+    args = [(plan, cfg.master_seed, stream, lo,
+             min(lo + cfg.chunk, cfg.trials))
+            for lo in range(0, cfg.trials, cfg.chunk)]
+    if cfg.workers <= 1 or len(args) == 1:
+        parts = [_eval_chunk(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_chunk_call, args))
-    return _merge(parts)
+        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+            parts = list(ex.map(_eval_chunk, *zip(*args)))
+    return (_merge([c for c, _ in parts]),
+            np.concatenate([a for _, a in parts]))
 
 
 def h0_statistics(scenario, specs, trials, master_seed, stream=0, workers=1,
                   chunk=DEFAULT_CHUNK, opt_config=None):
     """Null-hypothesis statistics for each detector, {label: array}."""
-    plan = _BatchPlan(scenario, list(specs), opt_config)
-    return _run_batches(plan, trials, master_seed, stream, workers, chunk,
-                        "h0")
+    cfg = TrialConfig(scenario, list(specs), trials, master_seed,
+                      workers=workers, chunk=chunk, opt_config=opt_config)
+    plan = _BatchPlan(scenario, cfg.spec_list(), opt_config)
+    coeffs, _ = _run_batches(plan, cfg, stream)
+    return {label: _statistic(c, 0.0) for label, c in coeffs.items()}
 
 
 @dataclass(frozen=True)
@@ -518,25 +516,24 @@ def calibrate_threshold(cfg, stream=0):
 class PdEvaluator:
     """Frozen coefficients of one simulation pass, reusable across SCNR.
 
-    pd(label, tau, scnr, target_model) thresholds |alpha + b(scnr) beta|^2
-    / norm without touching the simulator again.
+    pd(label, tau, scnr, target_model) thresholds the statistic at scnr's
+    amplitude without touching the simulator again.
     """
 
-    def __init__(self, coeffs, q, trials):
-        self.amp = coeffs.pop("__amp__")
+    def __init__(self, coeffs, amp, q, trials):
         self.coeffs = coeffs
+        self.amp = amp
         self.q = q
         self.trials = trials
 
     def statistics(self, label, scnr, target_model):
-        alpha, beta, norm = self.coeffs[label]
         if target_model == "swerling0":
             b = math.sqrt(scnr / self.q)
         elif target_model == "swerling1":
             b = math.sqrt(scnr / self.q) * self.amp
         else:
             raise ConfigError(f"unknown target model {target_model!r}")
-        return np.abs(alpha + b * beta) ** 2 / norm
+        return _statistic(self.coeffs[label], b)
 
     def pd(self, label, tau, scnr, target_model):
         stats = self.statistics(label, scnr, target_model)
@@ -552,9 +549,7 @@ def pd_evaluator(cfg, stream=1, plan=None):
     """
     if plan is None:
         plan = _BatchPlan(cfg.scenario, cfg.spec_list(), cfg.opt_config)
-    coeffs = _run_batches(plan, cfg.trials, cfg.master_seed, stream,
-                          cfg.workers, cfg.chunk, "coeff")
-    return PdEvaluator(coeffs, plan.q, cfg.trials)
+    return PdEvaluator(*_run_batches(plan, cfg, stream), plan.q, cfg.trials)
 
 
 def estimate_pd(cfg, tau, scnr, target_model, stream=1):

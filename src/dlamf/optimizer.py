@@ -31,6 +31,9 @@ _GOLDEN_STEPS = 200
 # loadings per objective call while a grid is evaluated: B rows take
 # _GRID_CELLS // B columns at a time, so a call's temporaries stay a few MiB
 _GRID_CELLS = 4096
+# a search is flat (lambda* = 0) when no grid point beats lam = 0 by more than
+# this, relative to max(1, |objective at 0|)
+_FLAT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,6 @@ class OptConfig:
     lambda_max: float | None = None   # default 100 * mean eigenvalue
     grid_points: int = 200
     tol: float = 1e-4                 # relative, on the bracket width
-    flat_rtol: float = 1e-12
 
     def __post_init__(self):
         if self.lambda_max is not None and not (
@@ -110,7 +112,7 @@ def search_rows(objective, eigenvalues, config=None):
             up = vals[rows, k] > best_v
             best = np.where(up, j + k, best)
             best_v = np.where(up, vals[rows, k], best_v)
-    flat = best_v - v0 <= cfg.flat_rtol * np.maximum(1.0, np.abs(v0))
+    flat = best_v - v0 <= _FLAT_RTOL * np.maximum(1.0, np.abs(v0))
     lo = np.where(flat, 0.0, grid[rows, np.maximum(best - 1, 0)])
     hi = np.where(flat, grid[:, 1], grid[rows, np.minimum(best + 1, P)])
     x = np.where(flat, 0.0, grid[rows, best])

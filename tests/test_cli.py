@@ -118,6 +118,14 @@ class TestThreshold:
         assert msg["kind"] == "config"
         assert "--lambda" in msg["error"]
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda(self, tmp_path, capsys, lam):
+        rc = cli.main(["threshold", "--config", TOEPLITZ,
+                       "--detector", "dl-amf", "--lambda", lam,
+                       "--trials", "100", "--out", str(tmp_path)])
+        assert rc == 2
+        assert _stderr_json(capsys)["kind"] == "config"
+
     def test_unknown_detector(self, tmp_path, capsys):
         rc = cli.main(["threshold", "--config", TOEPLITZ,
                        "--detector", "fancy-amf", "--trials", "100",
@@ -165,6 +173,15 @@ class TestPdSweep:
                        "--scnr-db", "20:1:0", "--out", str(tmp_path)])
         assert rc == 2
         assert _stderr_json(capsys)["kind"] == "config"
+
+    @pytest.mark.parametrize("grid", ["0:nan:20", "nan:1:3", "0:1:inf"])
+    def test_non_finite_scnr_grid(self, tmp_path, capsys, grid):
+        # np.arange would raise a bare ValueError on these
+        rc = cli.main(["pd-sweep", "--config", TOEPLITZ, "--detector", "np",
+                       "--scnr-db", grid, "--out", str(tmp_path)])
+        assert rc == 2
+        msg = _stderr_json(capsys)
+        assert msg["kind"] == "config" and "finite" in msg["error"]
 
 
 class TestLossTable:

@@ -37,6 +37,12 @@ class TestSpec:
         with pytest.raises(ConfigError):
             DetectorSpec("dl-amf", lam=-0.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda(self, lam):
+        # both pass a plain `lam < 0` check and make every statistic NaN
+        with pytest.raises(ConfigError, match="finite"):
+            DetectorSpec("dl-amf", lam=lam)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             DetectorSpec("mystery")

@@ -55,8 +55,8 @@ class TestPlugIn:
         K = scen_n24_k48.K
         c = scen_n24_k48.N / K
         e = estimators.estimated_equivalents(scm, s, 0.0, K)
-        assert e.d1 == pytest.approx(1.0 - c, rel=1e-13)
-        assert e.d2 == pytest.approx(1.0 - c, rel=1e-13)
+        assert e.d1 == pytest.approx(1.0 - c, rel=1e-13, abs=0)
+        assert e.d2 == pytest.approx(1.0 - c, rel=1e-13, abs=0)
         assert e.kappa_lower_hat == pytest.approx((1.0 - c) ** 2 * e.psi_hat,
                                                   rel=1e-12)
 

@@ -72,6 +72,13 @@ class TestTrialConfig:
         with pytest.raises(ConfigError):
             TrialConfig(scen_n24_k48, [], trials=10).spec_list()
 
+    @pytest.mark.parametrize("trials,chunk", [(0, 4), (8, 0)])
+    def test_h0_statistics_validates(self, scen_n24_k48, trials, chunk):
+        # TrialConfig's checks, before the engine splits trials into chunks
+        with pytest.raises(ConfigError):
+            h0_statistics(scen_n24_k48, [DetectorSpec("np")], trials,
+                          master_seed=0, chunk=chunk)
+
     def test_type_hints_resolve(self):
         assert typing.get_type_hints(TrialConfig)["opt_config"] == \
             OptConfig | None
@@ -103,8 +110,7 @@ class TestGeneratorLayout:
         # the batched sampler must reproduce the documented per-trial
         # construction bit for bit, or chunking would change results
         plan = _BatchPlan(scen_n24_k48, [DetectorSpec("np")])
-        y0b, Yb, _ = _generate(plan, master_seed=7, stream=3, lo=0, hi=5,
-                               want_amp=False)
+        y0b, Yb, _ = _generate(plan, master_seed=7, stream=3, lo=0, hi=5)
         for t in range(5):
             ds = sample_dataset(scen_n24_k48, Swerling0(), "h0",
                                 trial_rng(7, 3, t))
@@ -113,13 +119,12 @@ class TestGeneratorLayout:
 
     def test_amplitudes_match_swerling1(self, scen_n24_k48):
         plan = _BatchPlan(scen_n24_k48, [DetectorSpec("np")])
-        _, _, amp = _generate(plan, master_seed=7, stream=3, lo=0, hi=5,
-                              want_amp=True)
+        _, _, amp = _generate(plan, master_seed=7, stream=3, lo=0, hi=5)
         for t in range(5):
             rng = trial_rng(7, 3, t)
             sample_dataset(scen_n24_k48, Swerling0(), "h0", rng)
             b = Swerling1(power=1.0).draw_amplitude(rng)
-            assert amp[t] == pytest.approx(b, rel=1e-15)
+            assert amp[t] == pytest.approx(b, rel=1e-15, abs=0)
 
     def test_block_edge_through_eval_chunk(self, scen_n24_k48):
         # a chunk of trials [0, edge + 6) is drawn in two blocks, and trials
@@ -128,22 +133,23 @@ class TestGeneratorLayout:
         edge = harness._BLOCK
         trials = range(edge - 6, edge + 6)
         plan = _BatchPlan(scen_n24_k48, [DetectorSpec("np")])
-        out = _eval_chunk(plan, 7, 3, 0, edge + 6, "coeff")
+        coeffs, amp = _eval_chunk(plan, 7, 3, 0, edge + 6)
         y0 = np.empty((12, 24), dtype=complex)
         for i, t in enumerate(trials):
             rng = trial_rng(7, 3, t)
             y0[i] = sample_dataset(scen_n24_k48, Swerling0(), "h0", rng).y0
             b = Swerling1(power=1.0).draw_amplitude(rng)
-            assert out["__amp__"][t] == pytest.approx(b, rel=1e-15)
-        np.testing.assert_array_equal(out["np"][0][trials], y0 @ plan.t_conj)
-        stats = _eval_chunk(plan, 7, 3, 0, edge + 6, "h0")["np"]
+            assert amp[t] == pytest.approx(b, rel=1e-15, abs=0)
+        np.testing.assert_array_equal(coeffs["np"][0][trials],
+                                      y0 @ plan.t_conj)
+        stats = harness._statistic(coeffs["np"], 0.0)
         np.testing.assert_array_equal(
             stats[trials], np.abs(y0 @ plan.t_conj) ** 2 / plan.q)
 
     def test_trials_are_disjoint(self, scen_n24_k48):
         plan = _BatchPlan(scen_n24_k48, [DetectorSpec("np")])
-        y0a, _, _ = _generate(plan, 7, 0, 0, 3, False)
-        y0c, _, _ = _generate(plan, 7, 0, 2, 5, False)
+        y0a, _, _ = _generate(plan, 7, 0, 0, 3)
+        y0c, _, _ = _generate(plan, 7, 0, 2, 5)
         np.testing.assert_array_equal(y0a[2], y0c[0])
         assert not np.allclose(y0a[0], y0a[1])
 
@@ -183,8 +189,9 @@ class TestBatchScalarAgreement:
     def _agree(scen, specs, spectral, B=40):
         plan = _BatchPlan(scen, specs)
         assert plan.spectral == spectral
-        batch = _eval_chunk(plan, master_seed=11, stream=0, lo=0, hi=B,
-                            mode="h0")
+        coeffs, _ = _eval_chunk(plan, master_seed=11, stream=0, lo=0, hi=B)
+        batch = {lbl: harness._statistic(c, 0.0)
+                 for lbl, c in coeffs.items()}
         R = scen.covariance()
         s = scen.steering
         K = scen.K
@@ -203,19 +210,24 @@ class TestBatchScalarAgreement:
                     (sp.label, t)
                 assert one == pytest.approx(ref, rel=rtol), (sp.label, t)
 
-    @pytest.mark.parametrize("mode", ["h0", "coeff"])
-    def test_routes_agree(self, scen_n24_k48, mode):
+    def test_routes_agree(self, scen_n24_k48):
         # adding el-amf moves every fixed kind from Cholesky solves to the
-        # spectrum; only the last bits may change
+        # spectrum; only the last bits of the coefficients and the h0
+        # statistics may change, and the amplitudes not at all
         specs = _fixed_specs()
-        chol = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0, 0, 64,
-                           mode)
-        spec = _eval_chunk(
+        chol, amp = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0, 0,
+                                64)
+        spec, amp_spec = _eval_chunk(
             _BatchPlan(scen_n24_k48, specs + [DetectorSpec("el-amf")]),
-            11, 0, 0, 64, mode)
+            11, 0, 0, 64)
+        np.testing.assert_array_equal(amp, amp_spec)
         for sp in specs:
-            np.testing.assert_allclose(chol[sp.label], spec[sp.label],
-                                       rtol=1e-10, atol=0, err_msg=sp.label)
+            a, b = chol[sp.label], spec[sp.label]
+            for name, x, y in zip(("alpha", "beta", "norm", "h0"),
+                                  (*a, harness._statistic(a, 0.0)),
+                                  (*b, harness._statistic(b, 0.0))):
+                np.testing.assert_allclose(x, y, rtol=1e-10, atol=0,
+                                           err_msg=f"{sp.label} {name}")
 
     def test_set_composition_invariant(self, scen_n24_k48):
         # persym-amf first: it writes the persymmetrized SCM into a buffer
@@ -223,13 +235,13 @@ class TestBatchScalarAgreement:
         # its neighbours
         specs = _fixed_specs()
         specs.sort(key=lambda sp: sp.kind != "persym-amf")
-        together = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0, 0, 64,
-                               "h0")
+        together, _ = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0, 0,
+                                  64)
         for sp in specs:
-            alone = _eval_chunk(_BatchPlan(scen_n24_k48, [sp]), 11, 0, 0, 64,
-                                "h0")
-            np.testing.assert_array_equal(together[sp.label],
-                                          alone[sp.label], err_msg=sp.label)
+            alone, _ = _eval_chunk(_BatchPlan(scen_n24_k48, [sp]), 11, 0, 0,
+                                   64)
+            for a, b in zip(together[sp.label], alone[sp.label]):
+                np.testing.assert_array_equal(a, b, err_msg=sp.label)
 
 
 # the true covariance and the SCMs are clamped, with a warning each
@@ -309,7 +321,7 @@ class TestSpectralRows:
     @staticmethod
     def _drawn(scen, trials=64):
         plan = _BatchPlan(scen, [DetectorSpec("el-amf")])
-        y0, Y, _ = _generate(plan, 3, 0, 0, trials, False)
+        y0, Y, _ = _generate(plan, 3, 0, 0, trials)
         return np.matmul(Y, Y.conj().transpose(0, 2, 1)) / scen.K, y0, plan
 
     @pytest.mark.parametrize("scen", [
@@ -460,10 +472,10 @@ class TestChunkMemory:
     """A chunk's traced peak is set by its blocks, not by trials x N x K."""
 
     @staticmethod
-    def _peak_mib(plan, trials, mode):
+    def _peak_mib(plan, trials):
         tracemalloc.start()
         try:
-            _eval_chunk(plan, 1, 0, 0, trials, mode)
+            _eval_chunk(plan, 1, 0, 0, trials)
             return tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
@@ -475,7 +487,7 @@ class TestChunkMemory:
                  + [DetectorSpec(k, lam=1.5)
                     for k in ("dl-amf", "cfar-dl-amf", "cfar-dl-scmf")])
         plan = _BatchPlan(toeplitz_scenario(48, 64), specs)
-        assert self._peak_mib(plan, 2560, "coeff") < 96
+        assert self._peak_mib(plan, 2560) < 96
 
     def test_large_array_blocks_sized_in_bytes(self):
         # at N = 128, K = 256 a block of 256 trials held 134 MB per copy of
@@ -485,7 +497,7 @@ class TestChunkMemory:
                     for k in ("dl-amf", "cfar-dl-amf", "cfar-dl-scmf")])
         plan = _BatchPlan(toeplitz_scenario(128, 256), specs)
         assert plan.block < harness._BLOCK
-        assert self._peak_mib(plan, 256, "coeff") < 96
+        assert self._peak_mib(plan, 256) < 96
 
     def test_criterion4_set(self, scen_n24_k48):
         # criterion 4's CFAR set in one 4096-trial chunk; 198.8 MiB whole
@@ -495,7 +507,7 @@ class TestChunkMemory:
                  + [DetectorSpec("cfar-el-amf"),
                     DetectorSpec("opt-cfar-dl-amf")])
         plan = _BatchPlan(scen_n24_k48, specs)
-        assert self._peak_mib(plan, 4096, "h0") < 64
+        assert self._peak_mib(plan, 4096) < 64
 
 
 class TestThreshold:
