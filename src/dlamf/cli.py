@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, harness, optimizer, rmt, theory
 from .detectors import (CFAR_DL_AMF, CFAR_DL_SCMF, CFAR_EL_AMF, CFAR_TAGS,
                         DL_AMF, DL_RAW, DL_SCM_BETA, EL_AMF,
-                        FIXED_LAMBDA_TAGS, NP, OPT_CFAR_DL_AMF,
+                        FIXED_LAMBDA_TAGS, KINDS, NP, OPT_CFAR_DL_AMF,
                         OPT_CFAR_DL_SCMF, PERSYM_AMF, SCM_AMF, DetectorSpec)
 from .errors import ConfigError, NumericalError
 from .harness import TrialConfig
@@ -417,17 +417,16 @@ def _histograms(run, item, row, budgets, seed, workers, pfa):
                 h = hists[sp.label]
                 name = f"{item}{panel}_{key}{val:g}_{_slug(sp.label)}"
                 _write_hist(run.path(f"{name}.csv"), h)
-                # the exponential h0 density: unit scale for CFAR kinds,
-                # mu0 / psi of the deterministic equivalents for dl-amf
-                scale = 1.0 if sp.kind in CFAR_TAGS else None
-                if sp.kind == DL_AMF:
-                    p = rmt.deterministic_equivalents(
-                        scen.covariance(), scen.steering, sp.lam, scen.K)
-                    scale = p.mu0 / p.psi
-                if scale is not None:
-                    xs = np.linspace(0.0, float(h.bin_edges[-1]), 201)
-                    _write_curve(run.path(f"{name}_theory.csv"),
-                                 Curve(x=xs, y=np.exp(-xs / scale) / scale))
+                # the exponential h0 density, where the loading is fixed
+                # for the run or the normalizer is CFAR
+                if sp.lam is None and sp.kind not in CFAR_TAGS:
+                    continue
+                p = None if sp.lam is None else rmt.deterministic_equivalents(
+                    scen.covariance(), scen.steering, sp.lam, scen.K)
+                scale = theory.H0_SCALE[KINDS[sp.kind].norm](p, scen.c)
+                xs = np.linspace(0.0, float(h.bin_edges[-1]), 201)
+                _write_curve(run.path(f"{name}_theory.csv"),
+                             Curve(x=xs, y=np.exp(-xs / scale) / scale))
 
 
 def _curves(run, item, row, budgets, seed, workers, pfa):

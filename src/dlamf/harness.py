@@ -16,45 +16,20 @@ b, the h0 one at b = 0. One pass serves every SCNR on a sweep and both
 Swerling 0 and Swerling I targets, and SCNR-at-Pd bisection re-thresholds
 cached coefficients instead of re-simulating.
 
-Within a chunk, trials are drawn, colored, reduced to their sample
-covariances S and factored a block at a time: at most _BLOCK trials, and
-fewer when their snapshots would pass _BLOCK_BYTES. A block keeps only y0
-and a few numbers per trial, so a chunk of B trials holds O(N K + B N)
-memory at any array size.
-
-The statistics themselves are detectors.Plan's: its spectral_forms give
-(alpha, beta, mu0_hat) at each loading the set needs, the per-trial EL and
-opt searches included, and its assemble turns them into each kind's
-(alpha, beta, norm). evaluate_statistic is the same code on one trial.
-Each run factors S one of two ways, chosen from the detector set alone:
-
-- spectral route, when the set holds a kind that picks its loading per
-  trial (el-amf, cfar-el-amf, opt-cfar-dl-amf): LAPACK zhetrd reduces each
-  S to a real tridiagonal matrix and dstev gives its eigenvalues and real
-  eigenvectors, so no complex eigenvectors are formed (_spectral_rows).
-  The eigenvalues are clamped at EIG_FLOOR_REL of the largest as the
-  scalar path clamps them. A block keeps the rows l, |V^H s|^2 and
-  conj(V^H s) (V^H y0), and spectral_forms runs once over the chunk's rows;
-- Cholesky route, for every other set: one bordered Cholesky factorization
-  of S + lam I per distinct fixed loading (lam = 0 for scm-amf and the
-  dl-scm-beta normalizer), shared by all kinds at that loading. A block
-  allocates one bordered buffer; S is formed straight into its top-left
-  corner and each loading only rewrites the diagonal. cfar-dl-amf's mu0_hat
-  comes from a triangular inverse of the same factor, one matrix at a time.
-
-persym-amf factors the persymmetrized SCM by Cholesky in both routes, in a
-bordered buffer of its own written from S before any loading is factored
-or S is reduced. Unloaded forms raise NumericalError on a numerically
-singular SCM on both routes, as evaluate_statistic does.
+Within a chunk, trials are drawn, colored and formed into their sample
+covariances S a block at a time: at most _BLOCK trials, and fewer when
+their snapshots would pass _BLOCK_BYTES. S goes straight into the corner
+of a detectors.Plan bordered buffer, and Plan.reduce keeps a few numbers
+per trial (see the detectors module for its two routes), so a chunk of B
+trials holds O(N K + B N) memory at any array size. Plan.forms then runs
+the per-trial loading searches once over the chunk, and Plan.assemble
+gives each kind's (alpha, beta, norm). evaluate_statistic runs the same
+steps on a block of one trial.
 
 Reproducibility: for a given (seed, stream, trial, detector set) every
 statistic is bit-identical for every worker count and chunk size. Two
 detector sets that take different routes may differ in the last bits of a
-fixed-loading kind's statistic. Complex products of per-trial arrays are
-explicit np.multiply calls: the `*` operator lets NumPy reuse a temporary
-of 256 KiB or more as its output with the operands swapped, and the
-swapped product rounds differently, which would tie the bits to the
-number of trials sharing an array.
+fixed-loading kind's statistic.
 """
 
 from __future__ import annotations
@@ -65,18 +40,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dstev, zhetrd, zhetrd_lwork, ztrtri
 
 from . import detectors
 from .detectors import NP, DetectorSpec
 from .errors import ConfigError, NumericalError
 from .optimizer import OptConfig, lambda_opt
 from .results import Curve, Histogram
-from .scenario import EIG_FLOOR_REL, philox_key
+from .scenario import philox_key
 
 DEFAULT_CHUNK = 4096
-# stands in for +inf on the border diagonal of _bordered
-_BORDER = 1e200
 # trials drawn, colored and reduced at a time within a chunk: at most
 # _BLOCK, and fewer when their snapshots (16 N (K+1) bytes each) would
 # exceed _BLOCK_BYTES
@@ -152,7 +124,7 @@ class TrialConfig:
 
 class _BatchPlan(detectors.Plan):
     """A detectors.Plan of the scenario's true covariance, plus what
-    drawing and factoring a chunk needs; built once per run."""
+    drawing a chunk needs; built once per run."""
 
     def __init__(self, scenario, specs, opt_config=None):
         labels = [sp.label for sp in specs]
@@ -161,15 +133,9 @@ class _BatchPlan(detectors.Plan):
         R = scenario.covariance()
         super().__init__(specs, scenario.steering, scenario.K, R, opt_config,
                          design=lambda_opt)
-        self.base = 1.0 - self.N / self.K
         self.sqrtR = R.sqrt_matrix()
         self.block = max(1, min(_BLOCK, _BLOCK_BYTES
                                 // (16 * self.N * (self.K + 1))))
-        # factorization route: a spectrum only when a loading is chosen per
-        # trial
-        self.spectral = self.need_el or self.need_opt
-        if self.spectral:
-            self.lwork = int(zhetrd_lwork(self.N, lower=1)[0].real)
 
 
 def _reset_state(bitgen, ctr, key, buf, trial):
@@ -211,175 +177,19 @@ def _generate(plan, master_seed, stream, lo, hi):
             (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2)
 
 
-def _bordered(plan, y0):
-    """Zeroed (B, N+2, N+2) buffer with the border of [[M, X], [X^H, D]].
-
-    X = [s, y0] and D = _BORDER I. The border is written below the diagonal
-    only; Cholesky reads no more. The caller writes M + lam I into the
-    top-left N x N block.
-    """
-    B, N = y0.shape
-    A = np.zeros((B, N + 2, N + 2), dtype=complex)
-    A[:, N, :N] = np.conj(plan.s)
-    A[:, N + 1, :N] = np.conj(y0)
-    A[:, N, N] = A[:, N + 1, N + 1] = _BORDER
-    return A
-
-
-def _cholesky_forms(A, lam, plan, with_mu0):
-    """(alpha, beta, mu0h) at loading lam from one Cholesky factorization.
-
-    A is a _bordered buffer whose top-left block holds M + lam I. Its factor
-    is [[L, 0], [W, *]] with L L^H = M + lam I and W^H = L^{-1} X, so the
-    forward substitutions u = L^{-1} s and v = L^{-1} y0 come out of the
-    same LAPACK call. Only the lower triangle is read, so M need not be
-    symmetrized. D = _BORDER keeps the trailing 2x2 Schur complement
-    positive; it does not touch L or W. mu0h needs
-    tr((M + lam I)^{-1}) = ||L^{-1}||_F^2 and
-    s^H (M + lam I)^{-1} M (M + lam I)^{-1} s = beta - lam ||u^H L^{-1}||^2.
-    """
-    N = plan.N
-    try:
-        F = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"Cholesky factorization failed at loading {lam:g}: "
-            "sample covariance is not positive definite") from exc
-    L = F[:, :N, :N]
-    if lam == 0.0:
-        # lambda_min <= min L_ii^2 and lambda_max >= max M_ii
-        detectors.guard_invertible(
-            np.diagonal(L, axis1=1, axis2=2).real.min(1) ** 2,
-            np.diagonal(A, axis1=1, axis2=2)[:, :N].real.max(1))
-    uh = F[:, N, :N]
-    # np.multiply, not `*`: see Reproducibility in the module docstring
-    alpha = np.multiply(uh, np.conj(F[:, N + 1, :N])).sum(1)
-    beta = (np.abs(uh) ** 2).sum(1)
-    mu0h = None
-    if with_mu0:
-        tr, xn = _inverse_norms(L, uh)
-        d1 = plan.base + lam * tr / plan.K
-        mu0h = (beta - lam * xn) / d1 ** 2
-    return alpha, beta, mu0h
-
-
-def _inverse_norms(L, uh):
-    """Rows ||L^{-1}||_F^2 and ||uh L^{-1}||^2 of lower-triangular L.
-
-    One LAPACK triangular inverse per matrix (a sixth of the flops of a
-    general inverse); no (B, N, N) inverse is kept.
-    """
-    B = L.shape[0]
-    tr = np.empty(B)
-    xn = np.empty(B)
-    for b in range(B):
-        Linv, info = ztrtri(L[b], lower=1)
-        if info:
-            raise NumericalError(
-                "triangular inverse of the Cholesky factor failed "
-                f"(info={info})")
-        x = uh[b] @ Linv
-        tr[b] = np.vdot(Linv, Linv).real
-        xn[b] = np.vdot(x, x).real
-    return tr, xn
-
-
-def _persym_forms(S, y0, plan):
-    """persym-amf's (alpha, beta, None) from the persymmetrized SCM
-    0.5 (S + J S^T J), written into a bordered buffer of its own.
-
-    J S^T J reads the lower triangle of S where J conj(S) J reads the upper
-    one; the two agree on a Hermitian S.
-    """
-    N = plan.N
-    A = _bordered(plan, y0)
-    blk = A[:, :N, :N]
-    np.add(S, S.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
-    blk *= 0.5
-    return _cholesky_forms(A, 0.0, plan, False)
-
-
-def _spectral_rows(S, y0, plan):
-    """The rows l, w2 = |V^H s|^2 and wz = conj(V^H s) (V^H y0) of a block.
-
-    S holds the block's SCMs and is overwritten. Each S^T = conj(S), a
-    Fortran-ordered view, goes through zhetrd, which reduces it to a real
-    tridiagonal T = Q^H conj(S) Q, and dstev, which gives T = U diag(l) U^T.
-    The eigenvectors of S are then V = conj(Q) U, so V^H x is the conjugate
-    of U^T Q^H conj(x): the stored reflectors of Q act on conj(s) and
-    conj(y0) of every trial at once, and U^T on both.
-    """
-    B, N = y0.shape
-    l = np.empty((B, N))
-    Ut = np.empty((B, N, N))
-    tau = np.empty((B, N - 1), dtype=complex)
-    for b in range(B):
-        # the reflectors H(i) = I - tau_i v_i v_i^H stay in S[b]'s upper
-        # triangle: v_i is 0 before entry i+1, 1 there, then S[b, i, i+2:]
-        _, d, e, tau[b], info = zhetrd(S[b].T, lower=1, lwork=plan.lwork,
-                                       overwrite_a=1)
-        if not info:
-            # dstev wants one off-diagonal entry even when N = 1
-            l[b], U, info = dstev(d, e if N > 1 else np.zeros(1),
-                                  overwrite_d=1, overwrite_e=1)
-        if info:
-            raise NumericalError(
-                f"tridiagonal eigensolver failed (info={info})")
-        Ut[b] = U.T
-    # x = Q^H conj([s, y0]) = H(N-2)^H ... H(0)^H conj([s, y0])
-    x = np.empty((B, 2, N), dtype=complex)
-    x[:, 0] = np.conj(plan.s)
-    x[:, 1] = np.conj(y0)
-    for i in range(N - 1):
-        v = S[:, i, i + 1:].copy()
-        v[:, 0] = 1.0
-        # np.multiply, not `*`: see Reproducibility in the module docstring
-        c = np.multiply(np.conj(tau[:, i, None]),
-                        np.multiply(np.conj(v)[:, None, :],
-                                    x[:, :, i + 1:]).sum(-1))
-        x[:, :, i + 1:] -= np.multiply(c[:, :, None], v[:, None, :])
-    # U^T x on the real and imaginary parts as four real columns
-    x = np.matmul(Ut, x.transpose(0, 2, 1).copy().view(float)).view(complex)
-    w2 = np.abs(x[:, :, 0]) ** 2
-    # the floor HermitianSpectrum.from_matrix sets in the scalar path
-    return {"l": np.maximum(l, EIG_FLOOR_REL * l[:, -1:]), "w2": w2,
-            "wz": np.multiply(x[:, :, 0], np.conj(x[:, :, 1]))}
-
-
 def _reduce_block(plan, master_seed, stream, lo, hi):
-    """Draw trials [lo, hi) and reduce them to what the statistics need.
-
-    Returns y0, the unit amplitudes, persym-amf's forms when planned, and
-    per route either the spectral rows l, w2 = |V^H s|^2 and
-    wz = conj(V^H s) (V^H y0), or the Cholesky forms of each fixed loading
-    (keyed by the loading). Nothing of size N x K outlives the block.
-    """
+    """Draw trials [lo, hi) and form their SCMs in the plan's bordered
+    buffer; returns y0, the unit amplitudes and what plan.reduce keeps.
+    Nothing of size N x K outlives the block."""
     y0, Y, amp = _generate(plan, master_seed, stream, lo, hi)
-    N, K = plan.N, plan.K
     out = {"y0": y0, "amp": amp}
-    if plan.spectral:
-        S = np.matmul(Y, Y.conj().transpose(0, 2, 1))
+    if plan.need_scm:
+        A = plan.bordered(y0)
+        S = A[:, :plan.N, :plan.N]
+        np.matmul(Y, Y.conj().transpose(0, 2, 1), out=S)
         del Y
-        S /= K
-        if plan.need_persym:
-            # first, since the spectral rows overwrite S
-            out["persym"] = _persym_forms(S, y0, plan)
-        out.update(_spectral_rows(S, y0, plan))
-    elif plan.need_scm:
-        # one bordered buffer serves every loading: its block holds S, and
-        # only the diagonal changes between factorizations
-        A = _bordered(plan, y0)
-        blk = A[:, :N, :N]
-        np.matmul(Y, Y.conj().transpose(0, 2, 1), out=blk)
-        del Y
-        blk /= K
-        if plan.need_persym:
-            out["persym"] = _persym_forms(blk, y0, plan)
-        diag = np.arange(N)
-        diag_S = blk[:, diag, diag]
-        for lam in plan.fixed_lams:
-            blk[:, diag, diag] = diag_S + lam
-            out[lam] = _cholesky_forms(A, lam, plan, lam in plan.mu0_lams)
+        S /= plan.K
+        out.update(plan.reduce(A, y0))
     return out
 
 
@@ -391,16 +201,13 @@ def _eval_chunk(plan, master_seed, stream, lo, hi):
     per-trial normalizer and amp the frozen unit amplitudes. The h0
     statistic is _statistic at b = 0, so the same pass serves h0 and h1.
 
-    Trials are drawn and reduced a block at a time; the loading searches
-    and the spectral forms then run once over the chunk's rows.
+    Trials are drawn and reduced a block at a time; plan.forms then runs
+    the loading searches and the spectral forms once over the chunk's rows.
     """
     red = _merge([_reduce_block(plan, master_seed, stream, b,
                                 min(b + plan.block, hi))
                   for b in range(lo, hi, plan.block)])
-    forms = red
-    if plan.spectral:
-        forms = {**red, **plan.spectral_forms(red["l"], red["w2"],
-                                               red["wz"])}
+    forms = plan.forms(red)
     return ({sp.label: plan.assemble(sp, forms, red["y0"])
              for sp in plan.specs}, red["amp"])
 

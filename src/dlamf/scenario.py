@@ -14,6 +14,7 @@ stream, trial) no matter how trials are chunked across workers.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -226,11 +227,16 @@ class Scenario:
         return build_covariance(self)
 
 
+@functools.lru_cache(maxsize=64)
 def build_covariance(scenario):
-    """Clutter-plus-noise covariance as a HermitianSpectrum."""
+    """Clutter-plus-noise covariance as a HermitianSpectrum, decomposed once
+    per (frozen) scenario; callers share it, so its arrays are read-only."""
     R = scenario.clutter.matrix(scenario.N)
     R[np.diag_indices(scenario.N)] += scenario.noise_power
-    return HermitianSpectrum.from_matrix(R, label="scenario covariance")
+    spec = HermitianSpectrum.from_matrix(R, label="scenario covariance")
+    for a in (spec.matrix, spec.eigenvalues, spec.eigenvectors):
+        a.flags.writeable = False
+    return spec
 
 
 @dataclass(frozen=True)

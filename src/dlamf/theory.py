@@ -16,6 +16,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
+from .detectors import KINDS
 from .errors import ConfigError
 
 
@@ -123,17 +124,25 @@ def cfar_dl_pd(scnr, kappa_value, tau, target_model):
     return float(out) if np.isscalar(scnr) else out
 
 
+# Scale of the exponential large-system h0 law of |alpha|^2 / norm, keyed
+# by Kind.norm, from rmt's deterministic equivalents p at the loading and
+# c = N/K: beta tends to psi and beta0 to q/(1-c), and a CFAR normalizer
+# makes the law unit-exponential.
+H0_SCALE = {
+    "beta": lambda p, c: p.mu0 / p.psi,
+    "beta0": lambda p, c: p.mu0 * (1.0 - c) / p.quad_inv,
+    "one": lambda p, c: p.mu0,
+    **dict.fromkeys(("q", "mu0", "mu0_hat"), lambda p, c: 1.0),
+}
+
 _PFA_FAMILIES = ("dl-amf", "dl-scm-beta", "dl-raw", "cfar")
 
 
 def asymptotic_pfa(family, params, tau, c=None):
-    """Large-system false-alarm probability of a loaded-filter variant.
-
-    family selects the normalization of |s^H (Rhat + lam I)^{-1} y0|^2:
-    'dl-amf' divides by the loaded quadratic form (limit psi), 'dl-scm-beta'
-    by the unloaded SCM quadratic form (limit q/(1-c), so c is required),
-    'dl-raw' not at all, 'cfar' by mu0 so the statistic is unit-exponential.
-    params is an AsymptoticParams at the matching loading factor.
+    """Large-system false-alarm probability exp(-tau / H0_SCALE) of a
+    loaded-filter variant: the kinds 'dl-amf', 'dl-scm-beta' (c required)
+    and 'dl-raw', or 'cfar' for any CFAR normalizer. params is an
+    AsymptoticParams at the matching loading factor.
     """
     fam = family.replace("_", "-").lower()
     if fam not in _PFA_FAMILIES:
@@ -141,13 +150,7 @@ def asymptotic_pfa(family, params, tau, c=None):
                           f"expected one of {_PFA_FAMILIES}")
     if tau < 0:
         raise ConfigError("threshold must be >= 0")
-    if fam == "cfar":
-        return math.exp(-tau)
-    if fam == "dl-raw":
-        return math.exp(-tau / params.mu0)
-    if fam == "dl-amf":
-        return math.exp(-tau * params.psi / params.mu0)
-    if c is None:
+    norm = "mu0" if fam == "cfar" else KINDS[fam].norm
+    if norm == "beta0" and c is None:
         raise ConfigError("family 'dl-scm-beta' needs the ratio c = N/K")
-    beta_unloaded = params.quad_inv / (1.0 - c)
-    return math.exp(-tau * beta_unloaded / params.mu0)
+    return math.exp(-tau / H0_SCALE[norm](params, c))

@@ -382,7 +382,7 @@ PINNED = {
         {}),
     "fig11": (18,
         "6bb76fe62596891ac103fc4f49b8f2d6257d0c347e65b8b87ed5203dcd6c2e9b",
-        "bddfcadd1ec423888996cf38aedb01ebe2765265b25cf061a5b39baa61658eb2",
+        "9dcd234e5016355ab99e1ef06eb4f418cef19d25f861797d2c0b18e2e2062b62",
         {"clutter_power_sweep": [1.0, 10.0, 100.0]}),
     "fig12": (8,
         "fe921c26bead7ab97dd0dffb45038bff60d96a79a8c809b3ab6d0d28131d64a3",
@@ -390,7 +390,7 @@ PINNED = {
         {}),
     "fig13": (12,
         "384618b27c0f8a2c48eb18d6fe865a088a239d403ceb7741a8b8a9b2ba884803",
-        "04f17ae76f635cfd2fd41b10642c344242326fa7a11d13064566f297fc7f039c",
+        "0ecc97557a144ff69c30f077a3d27f3ca755144d97485cd91897b511e524ee3b",
         {}),
     "fig14": (10,
         "97bd7dbe9ce9929d3b218198ea305075e9c33d6fcaf2b764650643bb48714d3d",
@@ -398,11 +398,11 @@ PINNED = {
         {"lambda_opt": 11.921143337234207}),
     "table2": (1,
         "e1c81ee75ae8a95b729cda11d8e0363af1f91afa9e2f35f2cb5e08ecad49f9c7",
-        "f74ec661f0e313f5a583eef73b5c31a06341933210463935c4f452c68461f9c1",
+        "2c3060f133efdfcf870ea8dd60db8801857d81a787d03734d3be0aedbd3b72ff",
         {}),
     "table3": (1,
         "1efca3e6f4fb77b9966341e2b1b3311256f3d11d2587d4c24661480ac519872a",
-        "a63e4ffd6fabc0cc9e41262b234e7707fe49e7c35ed48c518e331c407e808c22",
+        "226a2a4096bbd8e8ebbd37c1c70a3bab6bf312224032706f58e7241a76586063",
         {}),
 }
 

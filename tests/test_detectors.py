@@ -87,8 +87,6 @@ class TestLoadedForms:
         assert _stat("dl-amf", y0, scen_n24_k48, S, lam) == pytest.approx(
             a2 / beta_ref, rel=1e-10)
 
-    # the persymmetrized SCM is clamped, with a warning
-    @pytest.mark.filterwarnings("ignore:persymmetrized SCM:RuntimeWarning")
     def test_zero_loading_singular_guard(self, scen_n24_k48):
         # K < N secondaries make the SCM rank-deficient; unloaded forms
         # must refuse rather than divide by a zero eigenvalue
@@ -262,6 +260,16 @@ class TestAccessControl:
             with pytest.raises(ConfigError):
                 detectors.evaluate_statistic(DetectorSpec(kind, lam=lam),
                                              y0, s, 48, scm=S, R=R)
+
+    @pytest.mark.parametrize("cut", [
+        (slice(None), slice(23)), (slice(23), slice(23)), 0],
+        ids=["non-square", "wrong-n", "vector"])
+    def test_scm_shape_checked(self, scen_n24_k48, cut):
+        y0, S = _draw(scen_n24_k48, seed=61)
+        bad = S.matrix[cut]
+        with pytest.raises(ConfigError, match="sample covariance"):
+            detectors.evaluate_statistic(DetectorSpec("scm-amf"), y0,
+                                         scen_n24_k48.steering, 48, scm=bad)
 
     def test_scm_required(self, scen_n24_k48):
         y0, _ = _draw(scen_n24_k48, seed=61)

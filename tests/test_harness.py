@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlamf import detectors, harness, theory
-from dlamf.detectors import DetectorSpec
+from dlamf.detectors import DetectorSpec, _spectral_rows
 from dlamf.errors import ConfigError, NumericalError
 from dlamf.estimators import _loaded_rows
 from dlamf.optimizer import OptConfig, lambda_opt
 from dlamf.harness import (TrialConfig, _BatchPlan, _eval_chunk, _generate,
-                           _spectral_rows, calibrate_threshold,
-                           detection_loss_table, empirical_pdf, estimate_pd,
-                           h0_statistics, pd_evaluator, pd_vs_scnr_sweep,
-                           scnr_at_pd, threshold_from_stats, wilson_ci)
+                           calibrate_threshold, detection_loss_table,
+                           empirical_pdf, estimate_pd, h0_statistics,
+                           pd_evaluator, pd_vs_scnr_sweep, scnr_at_pd,
+                           threshold_from_stats, wilson_ci)
 from dlamf.scenario import (EIG_FLOOR_REL, LowRankClutter, Scenario,
                             Swerling0, Swerling1, ToeplitzClutter,
                             sample_dataset, scm, trial_rng)
@@ -184,6 +184,32 @@ class TestBatchScalarAgreement:
                  DetectorSpec("cfar-dl-amf", lam=1.5),
                  DetectorSpec("dl-scm-beta", lam=1.5)]
         self._agree(toeplitz_scenario(48, 64), specs, spectral=False, B=24)
+
+    @pytest.mark.parametrize("scen", [
+        toeplitz_scenario(24, 48), toeplitz_scenario(1, 4),
+        toeplitz_scenario(8, 9), _singular_scenario()],
+        ids=["criterion4", "n1", "k-n-plus-1", "singular"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scalar_is_engine_on_one_trial(self, scen):
+        # evaluate_statistic is the engine's reduction on a block of one:
+        # every kind alone, on the route its set takes, gives the engine's
+        # statistic bit for bit, or both paths raise the same error class
+        R = scen.covariance()
+        draws = [sample_dataset(scen, Swerling0(), "h0", trial_rng(11, 0, t))
+                 for t in range(8)]
+        for sp in _all_specs():
+            batch = _outcome(lambda: h0_statistics(scen, [sp], len(draws),
+                                                   master_seed=11))
+            one = [_outcome(lambda: detectors.evaluate_statistic(
+                sp, ds.y0, scen.steering, scen.K,
+                scm=None if sp.kind == "np" else scm(ds),
+                R=R if sp.kind in detectors.ORACLE_TAGS else None))
+                for ds in draws]
+            if isinstance(batch, type):
+                assert batch in one, (sp.label, batch, one)
+            else:
+                np.testing.assert_array_equal(batch[sp.label], one,
+                                              err_msg=sp.label)
 
     @staticmethod
     def _agree(scen, specs, spectral, B=40):
