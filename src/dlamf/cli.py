@@ -37,7 +37,7 @@ from .harness import TrialConfig
 from .optimizer import OptConfig
 from .results import Curve
 from .scenario import (LowRankClutter, Scenario, ToeplitzClutter,
-                       scenario_from_json)
+                       parse_document, scenario_from_json)
 
 FULL_BUDGETS = {"threshold": 100_000, "pd": 10_000, "hist": 100_000}
 FAST_BUDGETS = {"threshold": 10_000, "pd": 1_000, "hist": 10_000}
@@ -162,26 +162,20 @@ def _load_scenario(path):
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    scen, target = scenario_from_json(text)
-    return scen, target, json.loads(text)
+    doc = parse_document(text)
+    return (*scenario_from_json(doc), doc)
 
 
 def _parse_detectors(tag_text, lam):
-    specs = []
-    for tag in tag_text.split(","):
-        tag = tag.strip()
-        if not tag:
-            continue
-        if tag in FIXED_LAMBDA_TAGS:
-            if lam is None:
-                raise ConfigError(
-                    f"detector {tag!r} needs --lambda")
-            specs.append(DetectorSpec(tag, lam))
-        else:
-            specs.append(DetectorSpec(tag))
-    if not specs:
+    tags = [tag for tag in map(str.strip, tag_text.split(",")) if tag]
+    # the first tag that _specs would refuse names the error
+    bad = next((tag for tag in tags if tag not in KINDS or
+                (lam is None and tag in FIXED_LAMBDA_TAGS)), None)
+    if bad in FIXED_LAMBDA_TAGS:
+        raise ConfigError(f"detector {bad!r} needs --lambda")
+    if not tags:
         raise ConfigError("no detector tags given")
-    return specs
+    return _specs(tags, lam)
 
 
 def _parse_scnr_grid(spec):
@@ -519,17 +513,11 @@ def cmd_reproduce(args, argv):
 
 # --- parser ----------------------------------------------------------------
 
-def _add_common(p, trials_default):
-    p.add_argument("--pfa", type=float, default=1e-3)
-    p.add_argument("--trials", type=int, default=trials_default)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="loading factor for fixed-loading detectors")
-    p.add_argument("--lambda-max", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-4)
+def _flags(*args, **kwargs):
+    """A parent parser of one flag, for add_parser's parents."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*args, **kwargs)
+    return p
 
 
 def build_parser():
@@ -539,45 +527,52 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kappa", parents=[], help="kappa(lambda) sweep")
-    p.add_argument("--config", required=True)
+    config = _flags("--config", required=True)
+    out = _flags("--out", required=True, help="output directory")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--pfa", type=float, default=1e-3)
+    run.add_argument("--seed", type=int, default=1234)
+    run.add_argument("--workers", type=int, default=1)
+    # the Monte Carlo commands: detectors, loadings and the opt search
+    mc = argparse.ArgumentParser(add_help=False, parents=[config, run, out])
+    mc.add_argument("--detector", "--detectors", required=True,
+                    help="comma-separated detector tags")
+    mc.add_argument("--lambda", dest="lam", type=float, default=None,
+                    help="loading factor for fixed-loading detectors")
+    mc.add_argument("--lambda-max", type=float, default=None)
+    mc.add_argument("--grid-points", type=int, default=200)
+    mc.add_argument("--tol", type=float, default=1e-4)
+    trials = {n: _flags("--trials", type=int, default=n)
+              for n in (10_000, 100_000)}
+    pd = [mc, trials[10_000],
+          _flags("--threshold-trials", type=int, default=100_000)]
+
+    p = sub.add_parser("kappa", parents=[config, out],
+                       help="kappa(lambda) sweep")
     p.add_argument("--lambda-grid", default="1e-3:log:1e3:200",
                    help="LO:log|lin:HI:N")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("threshold", help="calibrate detection thresholds")
-    p.add_argument("--config", required=True)
-    p.add_argument("--detector", "--detectors", required=True,
-                   help="comma-separated detector tags")
-    _add_common(p, 100_000)
+    p = sub.add_parser("threshold", parents=[mc, trials[100_000]],
+                       help="calibrate detection thresholds")
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("pd-sweep", help="detection probability vs SCNR")
-    p.add_argument("--config", required=True)
-    p.add_argument("--detector", "--detectors", required=True)
+    p = sub.add_parser("pd-sweep", parents=pd,
+                       help="detection probability vs SCNR")
     p.add_argument("--scnr-db", default="0:1:20", help="LO:STEP:HI in dB")
-    p.add_argument("--threshold-trials", type=int, default=100_000)
-    _add_common(p, 10_000)
     p.set_defaults(func=cmd_pd_sweep)
 
-    p = sub.add_parser("loss-table", help="SCNR loss vs the clairvoyant "
-                                          "filter at a target pd")
-    p.add_argument("--config", required=True)
-    p.add_argument("--detector", "--detectors", required=True)
+    p = sub.add_parser("loss-table", parents=pd,
+                       help="SCNR loss vs the clairvoyant filter at a "
+                            "target pd")
     p.add_argument("--pd", type=float, default=0.5)
-    p.add_argument("--threshold-trials", type=int, default=100_000)
-    _add_common(p, 10_000)
     p.set_defaults(func=cmd_loss_table)
 
-    p = sub.add_parser("reproduce", help="emit a canned study as CSV data")
+    p = sub.add_parser("reproduce", parents=[run, out],
+                       help="emit a canned study as CSV data")
     p.add_argument("item", help=f"one of {sorted(REPRODUCE_ITEMS)}")
     p.add_argument("--fast", action="store_true",
                    help="reduced trial budgets for smoke runs")
-    p.add_argument("--pfa", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reproduce)
     return ap
 

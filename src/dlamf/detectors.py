@@ -1,5 +1,5 @@
-"""Detector kinds: one loaded-filter statistic, a table, and the reduction
-of sample covariances that every statistic starts from.
+"""Detector kinds: one loaded-filter statistic, a table, and the plan that
+takes a block of sample covariances to every kind's statistic.
 
 Every detector here squares a filter output alpha = s^H M^{-1} y0 and
 divides it by a normalizer. For all but the clairvoyant filter, M is the
@@ -24,12 +24,11 @@ for bit. Oracle kinds see the true covariance, adaptive kinds only S.
 The route follows from the detector set alone:
 
 - spectral, when a kind picks its loading per trial (el-amf, cfar-el-amf,
-  opt-cfar-dl-amf): LAPACK zhetrd reduces each S to a real tridiagonal
-  matrix, dstev gives its eigenvalues (clamped at EIG_FLOOR_REL of the
-  largest) and real eigenvectors, and zunmqr applies zhetrd's reflectors
-  to s and y0, so no complex eigenvectors are formed (_spectral_rows).
-  reduce keeps the rows l, |V^H s|^2 and conj(V^H s) (V^H y0), and forms
-  runs the EL and opt searches on them;
+  opt-cfar-dl-amf): reduce keeps the rows l, |V^H s|^2 and
+  conj(V^H s) (V^H y0) of estimators._spectral_rows (zhetrd, dstev and
+  zunmqr; the package's one decomposition of a sample covariance, which
+  the scalar estimators run too), and forms runs the EL and opt searches
+  on them;
 - Cholesky, for every other set: one bordered Cholesky factorization of
   S + lam I per distinct fixed loading (0 for scm-amf and the dl-scm-beta
   normalizer), shared by all kinds at that loading. S sits in the corner
@@ -50,12 +49,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstev, zhetrd, zhetrd_lwork, ztrtri, zunmqr
+from scipy.linalg.lapack import ztrtri
 
 from . import estimators, optimizer, rmt
 from .errors import ConfigError, NumericalError
-from .scenario import (EIG_FLOOR_REL, HermitianSpectrum, as_spectrum,
-                       steering_entries)
+from .scenario import as_spectrum, steering_entries
 
 NP = "np"
 SCM_AMF = "scm-amf"
@@ -148,20 +146,6 @@ def make_opt_detector(mode):
     raise ConfigError(f"mode must be 'oracle' or 'adaptive', got {mode!r}")
 
 
-def guard_invertible(l_min, l_max):
-    """Raise NumericalError where l_min <= 1e-10 * l_max.
-
-    l_min and l_max are the extreme eigenvalues of an unloaded sample
-    covariance, or an upper bound on the smallest and a lower bound on the
-    largest; arrays are checked row by row, and one singular row fails all.
-    The threshold sits above the eigenvalue clamp floor (1e-12 relative),
-    so a rank-deficient SCM whose spectrum was clamped still trips it.
-    """
-    if np.any(np.asarray(l_min) <= 1e-10 * np.asarray(l_max)):
-        raise NumericalError("sample covariance is numerically singular; "
-                             "need K >= N secondary snapshots")
-
-
 # stands in for +inf on the border diagonal of Plan.bordered
 _BORDER = 1e200
 
@@ -190,13 +174,12 @@ class Plan:
         self.need_opt = "adaptive-opt" in sources
         self.need_persym = "persym" in sources
         self.spectral = self.need_el or self.need_opt
-        if self.spectral:
-            self.lwork = int(zhetrd_lwork(self.N, lower=1)[0].real)
         self.log_zeta = (estimators.log_zeta_median(self.N, K)
                          if self.need_el else None)
 
         self.q = self.t_conj = self.opt_lambda = None
         if R is not None:
+            R = as_spectrum(R)
             self.q = R.inv_quad(self.s)
             self.t_conj = np.conj(R.apply_inv(self.s))
             if "oracle-opt" in sources:
@@ -254,7 +237,7 @@ class Plan:
             # first, since the loadings below rewrite the diagonal of S
             out["persym"] = _persym_forms(S, y0, self)
         if self.spectral:
-            out.update(_spectral_rows(S, y0, self))
+            out.update(estimators._spectral_rows(S, self.s, y0))
             return out
         diag = np.arange(N)
         diag_S = S[:, diag, diag]
@@ -283,7 +266,7 @@ class Plan:
         for key, lam in lams.items():
             unloaded = lam == 0.0
             if unloaded.any():
-                guard_invertible(l[unloaded, 0], l[unloaded, -1])
+                estimators.guard_invertible(l[unloaded, 0], l[unloaded, -1])
             d1, beta, num, alpha = estimators._loaded_rows(
                 l, w2, lam[:, None], self.K, wz)
             mu0h = (num[:, 0] / (d1[:, 0] * d1[:, 0])
@@ -341,7 +324,7 @@ def _cholesky_forms(A, lam, plan, with_mu0):
     L = F[:, :N, :N]
     if lam == 0.0:
         # lambda_min <= min L_ii^2 and lambda_max >= max M_ii
-        guard_invertible(
+        estimators.guard_invertible(
             np.diagonal(L, axis1=1, axis2=2).real.min(1) ** 2,
             np.diagonal(A, axis1=1, axis2=2)[:, :N].real.max(1))
     uh = F[:, N, :N]
@@ -392,51 +375,13 @@ def _persym_forms(S, y0, plan):
     return _cholesky_forms(A, 0.0, plan, False)
 
 
-def _spectral_rows(S, y0, plan):
-    """The rows l, w2 = |V^H s|^2 and wz = conj(V^H s) (V^H y0) of a block.
-
-    zhetrd reduces each S^T = conj(S) (a Fortran-ordered view, not written)
-    to a real tridiagonal T = Q^H conj(S) Q and dstev gives T = U diag(l)
-    U^T, so S has eigenvectors V = conj(Q) U and V^H x is the conjugate of
-    U^T Q^H conj(x). zunmqr applies Q^H to conj(s) and conj(y0), as LAPACK's
-    zunmtr would, and one batched product applies U^T.
-    """
-    B, N = y0.shape
-    l = np.empty((B, N))
-    Ut = np.empty((B, N, N))
-    x = np.empty((B, N, 2), dtype=complex)
-    x[:, :, 0] = np.conj(plan.s)
-    x[:, :, 1] = np.conj(y0)
-    for b in range(B):
-        a, d, e, tau, info = zhetrd(S[b].T, lower=1, lwork=plan.lwork)
-        if not info:
-            # dstev wants one off-diagonal entry even when N = 1
-            l[b], U, info = dstev(d, e if N > 1 else np.zeros(1),
-                                  overwrite_d=1, overwrite_e=1)
-        if not info and N > 1:
-            # Q's reflectors are a QR factorization's in a[1:, :N-1]; lwork
-            # 2, the least for two columns, keeps zunmqr unblocked at any N
-            x[b, 1:], _, info = zunmqr("L", "C", a[1:, :-1], tau, x[b, 1:],
-                                       2)
-        if info:
-            raise NumericalError(
-                f"tridiagonal eigensolver failed (info={info})")
-        Ut[b] = U.T
-    # U^T x on the real and imaginary parts as four real columns
-    x = np.matmul(Ut, x.view(float)).view(complex)
-    w2 = np.abs(x[:, :, 0]) ** 2
-    # the one eigenvalue clamp of the statistics
-    return {"l": np.maximum(l, EIG_FLOOR_REL * l[:, -1:]), "w2": w2,
-            "wz": np.multiply(x[:, :, 0], np.conj(x[:, :, 1]))}
-
-
 def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     """One trial's statistic for a DetectorSpec: the trial engine's
     Plan.reduce, forms and assemble on a block of one trial.
 
-    scm (a matrix or a HermitianSpectrum, read as the engine reads its SCMs)
-    is required for all kinds but np; R is required for oracle kinds and
-    must be omitted for adaptive ones.
+    scm, the N x N sample covariance (scenario.scm), is required for all
+    kinds but np; R is required for oracle kinds and must be omitted for
+    adaptive ones.
     """
     kind = KINDS[spec.kind]
     if kind.oracle:
@@ -449,8 +394,6 @@ def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     if kind.loading != "none" and scm is None:
         raise ConfigError(f"detector {spec.kind!r} needs a sample covariance")
 
-    if R is not None:
-        R = as_spectrum(R, "covariance")
     plan = Plan([spec], s, K, R, opt_config)
     N = plan.N
     y0 = np.asarray(y0)[None]
@@ -458,13 +401,8 @@ def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
         raise ConfigError(f"y0 must have {N} entries, got {y0.shape[1:]}")
     forms = {}
     if plan.need_scm:
-        S = scm.matrix if isinstance(scm, HermitianSpectrum) \
-            else np.asarray(scm)
-        if S.shape != (N, N):
-            raise ConfigError(f"sample covariance must be {N} x {N}, "
-                              f"got shape {S.shape}")
         A = plan.bordered(y0)
-        A[0, :N, :N] = S
+        A[0, :N, :N] = estimators._check_scm(scm, N)
         forms = plan.forms(plan.reduce(A, y0))
     alpha, _, norm = plan.assemble(spec, forms, y0)
     return float(np.abs(alpha[0]) ** 2 / norm[0])

@@ -1,4 +1,5 @@
-"""Consistent plug-in estimators of the loaded-filter equivalents.
+"""Consistent plug-in estimators of the loaded-filter equivalents, and the
+one reduction of sample covariances that they and the trial engine share.
 
 Everything here sees only the sample covariance, never the true R. With SCM
 eigenvalues l_i and steering weights w_i in the SCM eigenbasis, define
@@ -11,16 +12,15 @@ Then mu0_hat = num / D1^2, gamma_hat = 1 - D1^2/D2, xi_hat = num / D2 and
 kappa_lower_hat = D1^2 psi_hat^2 / num are strongly consistent for the
 corresponding deterministic equivalents as N, K grow proportionally.
 
-All of these sums come from one row kernel, _loaded_rows, which takes B
-spectra with m loadings each and one reciprocal 1/(l_i + lam) per
-eigenvalue and loading, from which it forms every sum: the scalar API
-(d_factors, estimated_equivalents and its accessors, which take lam as a
-scalar or an array) is one row of it, and the trial engine and the
-adaptive loading search pass many. The expected-likelihood (EL) loading
-factor is one row of _el_rows in the same way. _el_rows and the theta
-transform that links sample and population resolvents solve their
-monotone equations with the safeguarded Newton row solver of rmt, the one
-that solves for delta.
+l and w come from _spectral_rows, the package's one SCM reduction (one
+silent clamp at EIG_FLOOR_REL), and every sum from one row kernel,
+_loaded_rows, over B spectra with m loadings each. The trial engine and the
+adaptive loading search pass many rows; the scalar API (d_factors,
+estimated_equivalents and its accessors, el_lambda, lambda_opt_hat) reduces
+its SCM as a block of one trial and passes one row, so the two agree bit
+for bit and refuse a singular SCM at lam = 0 alike. The EL loading is one
+row of _el_rows in the same way; it and the theta transform solve their
+monotone equations with rmt's safeguarded Newton row solver.
 """
 
 from __future__ import annotations
@@ -30,20 +30,84 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstev, zhetrd, zhetrd_lwork, zunmqr
 
 from .errors import ConfigError, NumericalError
 from .rmt import _loadings, _newton_rows, _shaped
-from .scenario import HermitianSpectrum, as_spectrum, steering_entries
+from .scenario import EIG_FLOOR_REL, steering_entries
 
 _EL_FTOL = 1e-10
 
 
-def _check(scm, lam, K):
-    scm = as_spectrum(scm, "sample covariance")
-    lams = _loadings(lam)
-    if K < scm.dim:
-        raise ConfigError(f"estimators need K >= N, got N={scm.dim} K={K}")
-    return scm, lams
+def guard_invertible(l_min, l_max):
+    """Raise NumericalError where l_min <= 1e-10 * l_max in any row: the
+    extreme eigenvalues of unloaded SCMs, or an upper bound on the smallest
+    and a lower bound on the largest. The threshold sits above the clamp
+    floor EIG_FLOOR_REL, so a clamped rank-deficient SCM still trips it."""
+    if np.any(np.asarray(l_min) <= 1e-10 * np.asarray(l_max)):
+        raise NumericalError("sample covariance is numerically singular; "
+                             "need K >= N secondary snapshots")
+
+
+def _check_scm(scm, N):
+    """scm as an N x N array, or ConfigError."""
+    S = np.asarray(scm)
+    if S.shape != (N, N):
+        raise ConfigError(f"sample covariance must be {N} x {N}, "
+                          f"got shape {S.shape}")
+    return S
+
+
+def _spectral_rows(S, s, y0):
+    """The rows l, w2 = |V^H s|^2 and wz = conj(V^H s) (V^H y0) of a block
+    of SCMs S (B, N, N) with primary vectors y0 (B, N).
+
+    zhetrd reduces each S^T = conj(S) (a Fortran-ordered view, not written)
+    to a real tridiagonal T = Q^H conj(S) Q and dstev gives T = U diag(l)
+    U^T, so S has eigenvectors V = conj(Q) U and V^H x is the conjugate of
+    U^T Q^H conj(x). zunmqr applies Q^H to conj(s) and conj(y0), as LAPACK's
+    zunmtr would, and one batched product applies U^T.
+    """
+    B, N = S.shape[:2]
+    lwork = int(zhetrd_lwork(N, lower=1)[0].real)
+    l = np.empty((B, N))
+    Ut = np.empty((B, N, N))
+    x = np.empty((B, N, 2), dtype=complex)
+    x[:, :, 0] = np.conj(s)
+    x[:, :, 1] = np.conj(y0)
+    for b in range(B):
+        a, d, e, tau, info = zhetrd(S[b].T, lower=1, lwork=lwork)
+        if not info:
+            # dstev wants one off-diagonal entry even when N = 1
+            l[b], U, info = dstev(d, e if N > 1 else np.zeros(1),
+                                  overwrite_d=1, overwrite_e=1)
+        if not info and N > 1:
+            # Q's reflectors are a QR factorization's in a[1:, :N-1]; lwork
+            # 2, the least for two columns, keeps zunmqr unblocked at any N
+            x[b, 1:], _, info = zunmqr("L", "C", a[1:, :-1], tau, x[b, 1:],
+                                       2)
+        if info:
+            raise NumericalError(
+                f"tridiagonal eigensolver failed (info={info})")
+        Ut[b] = U.T
+    # U^T x on the real and imaginary parts as four real columns
+    x = np.matmul(Ut, x.view(float)).view(complex)
+    w2 = np.abs(x[:, :, 0]) ** 2
+    # the one eigenvalue clamp of sample covariances
+    return {"l": np.maximum(l, EIG_FLOOR_REL * l[:, -1:]), "w2": w2,
+            "wz": np.multiply(x[:, :, 0], np.conj(x[:, :, 1]))}
+
+
+def _scm_rows(scm, s, K):
+    """Rows (1, N) of l and w2 of one SCM: _spectral_rows on a block of one
+    trial."""
+    s = steering_entries(s)
+    N = s.shape[0]
+    S = _check_scm(scm, N)
+    if K < N:
+        raise ConfigError(f"estimators need K >= N, got N={N} K={K}")
+    red = _spectral_rows(S[None], s, np.zeros((1, N)))
+    return red["l"], red["w2"]
 
 
 def _loaded_rows(l, w2, lams, K, wz=None):
@@ -59,9 +123,7 @@ def _loaded_rows(l, w2, lams, K, wz=None):
     sum over i is one dot product per (row, loading) (np.vecdot, and
     np.einsum for the plain sum), whose bits do not depend on B or m, so a
     loading's value does not depend on its neighbours; a batched matmul
-    would not keep that. One row is the scalar API; the trial engine and
-    the adaptive loading search pass many. Only the scalar API needs D2,
-    which _d2_rows gives.
+    would not keep that. Only the scalar API needs D2, which _d2_rows gives.
     """
     loaded = l[:, None, :] + lams[:, :, None]
     inv = np.divide(1.0, loaded, out=loaded)
@@ -114,11 +176,13 @@ class EstimatedEquivalents:
 
 def estimated_equivalents(scm, s, lam, K):
     """Every plug-in value at lam, a scalar or an array of loading factors;
-    the SCM weights are computed once for the whole array."""
-    scm, lams = _check(scm, lam, K)
-    w2 = np.abs(scm.weights(steering_entries(s))) ** 2
-    l = scm.eigenvalues[None]
-    d1, psi, num = (x[0] for x in _loaded_rows(l, w2[None], lams[None], K))
+    the SCM is reduced once for the whole array. A loading of 0 on a
+    numerically singular SCM raises NumericalError."""
+    lams = _loadings(lam)
+    l, w2 = _scm_rows(scm, s, K)
+    if (lams == 0.0).any():
+        guard_invertible(l[:, 0], l[:, -1])
+    d1, psi, num = (x[0] for x in _loaded_rows(l, w2, lams[None], K))
     d2 = _d2_rows(l, lams[None], K)[0]
     d1sq = d1 * d1
     return EstimatedEquivalents(
@@ -190,10 +254,9 @@ def log_el_statistic(scm, reference):
     Measures how plausible the (possibly loaded) sample covariance is as an
     estimate of the reference; the EL loading rule matches its median.
     """
-    B = scm.matrix if isinstance(scm, HermitianSpectrum) else np.asarray(scm)
     iroot = (reference.eigenvectors / np.sqrt(reference.eigenvalues)) \
         @ reference.eigenvectors.conj().T
-    W = iroot @ B @ iroot
+    W = iroot @ np.asarray(scm) @ iroot
     sign, logdet = np.linalg.slogdet(W)
     if sign.real <= 0:
         raise NumericalError("whitened sample covariance is not positive")
@@ -238,15 +301,11 @@ def _el_rows(l, log_zeta):
 
 
 def el_lambda(scm, K):
-    """Loading factor matching the EL statistic to its median.
-
-    Solves log g(lam) = log zeta_0.5 by Newton steps (g strictly decreasing,
-    g(0) = 1 > zeta_0.5 so a root exists for K > N). If the median were ever
-    >= g(0) the rule is vacuous: returns 0 with a warning.
+    """Loading factor matching the EL statistic to its median: _el_rows on
+    the SCM reduced as one trial (g(0) = 1 > zeta_0.5: a root for K > N).
     """
-    scm = as_spectrum(scm, "sample covariance")
-    log_zeta = log_zeta_median(scm.dim, K)
-    return float(_el_rows(scm.eigenvalues[None], log_zeta)[0])
+    l, _ = _scm_rows(scm, np.zeros(len(scm)), K)
+    return float(_el_rows(l, log_zeta_median(l.shape[1], K))[0])
 
 
 # --- sample <-> population resolvent link ----------------------------------

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from . import estimators, rmt
 from .errors import ConfigError
 from .results import Curve
-from .scenario import as_spectrum, steering_entries
+from .scenario import as_spectrum
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 200
@@ -192,10 +192,9 @@ def lambda_opt_rows(l, w2, K, config=None):
 
 
 def lambda_opt_hat(scm, s, K, config=None):
-    """Adaptive loading factor: maximize kappa_lower_hat from one SCM."""
-    scm, _ = estimators._check(scm, 0.0, K)
-    w2 = np.abs(scm.weights(steering_entries(s))) ** 2
-    return _one_row(lambda_opt_rows(scm.eigenvalues[None], w2[None], K,
+    """Adaptive loading factor: maximize kappa_lower_hat from one SCM,
+    reduced as the trial engine reduces a block of one trial."""
+    return _one_row(lambda_opt_rows(*estimators._scm_rows(scm, s, K), K,
                                     config))
 
 

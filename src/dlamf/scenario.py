@@ -1,10 +1,10 @@
 """Covariance models, steering vectors and synthetic snapshot generation.
 
-Angles are degrees at the API boundary and radians internally. Covariance
-matrices are carried around together with their eigendecomposition
-(HermitianSpectrum) because everything downstream, coloring, resolvents,
-deterministic equivalents, works in the eigenbasis; no code path factorizes
-the same matrix twice.
+Angles are degrees at the API boundary and radians internally. The true
+covariance is carried around with its eigendecomposition (HermitianSpectrum,
+once per scenario), since coloring, resolvents and deterministic
+equivalents work in its eigenbasis. A sample covariance is a plain matrix
+(scm); estimators holds its one reduction.
 
 Randomness is counter-based: a 64-bit master seed plus a stream id key a
 Philox generator, and trial i owns the counter range [i * 2**64, (i+1) *
@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -71,6 +71,8 @@ class HermitianSpectrum:
         A = np.asarray(A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ConfigError(f"{label} must be square, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise ConfigError(f"{label} has non-finite entries")
         A = 0.5 * (A + A.conj().T)
         vals, vecs = np.linalg.eigh(A)
         top = float(vals[-1])
@@ -123,12 +125,11 @@ class HermitianSpectrum:
         return float(np.sum(1.0 / self.eigenvalues))
 
 
-def as_spectrum(M, label="covariance"):
-    """M as a HermitianSpectrum; a matrix is decomposed, with label naming
-    it in errors and warnings."""
+def as_spectrum(M):
+    """A covariance M as a HermitianSpectrum; a matrix is decomposed."""
     if isinstance(M, HermitianSpectrum):
         return M
-    return HermitianSpectrum.from_matrix(M, label=label)
+    return HermitianSpectrum.from_matrix(M)
 
 
 def steering_entries(s):
@@ -145,8 +146,10 @@ class ToeplitzClutter:
     kind: ClassVar[str] = "toeplitz"
 
     def __post_init__(self):
-        if self.clutter_power < 0:
-            raise ConfigError("clutter_power must be >= 0")
+        object.__setattr__(self, "clutter_power", float(self.clutter_power))
+        object.__setattr__(self, "one_lag", float(self.one_lag))
+        if not 0.0 <= self.clutter_power < np.inf:  # nan fails too
+            raise ConfigError("clutter_power must be finite and >= 0")
         if not 0.0 <= self.one_lag < 1.0:
             raise ConfigError(
                 f"one-lag correlation must lie in [0, 1), got {self.one_lag}")
@@ -175,8 +178,9 @@ class LowRankClutter:
             raise ConfigError("patch angles and powers must align")
         if len(self.patch_angles_deg) == 0:
             raise ConfigError("low-rank clutter needs at least one patch")
-        if any(p < 0 for p in self.patch_powers):
-            raise ConfigError("patch powers must be >= 0")
+        if not (np.isfinite(self.patch_angles_deg + self.patch_powers).all()
+                and min(self.patch_powers) >= 0):
+            raise ConfigError("finite patch angles and powers >= 0 required")
 
     @property
     def rank(self):
@@ -211,9 +215,11 @@ class Scenario:
             raise ConfigError(
                 f"K must exceed N (adaptive detection and the asymptotic "
                 f"regime both need c = N/K < 1), got N={self.N} K={self.K}")
-        if self.noise_power <= 0:
+        if not (0.0 < self.noise_power < np.inf
+                and np.isfinite(self.steering_deg)):
             raise ConfigError(
-                f"noise_power must be > 0, got {self.noise_power}")
+                f"noise_power must be finite and > 0 and steering_deg finite, "
+                f"got {self.noise_power} and {self.steering_deg}")
 
     @property
     def c(self):
@@ -330,35 +336,39 @@ def sample_dataset(scenario, target, hypothesis, rng):
 
 
 def scm(samples):
-    """Sample covariance (1/K) Y Y^H of the secondary data."""
+    """Sample covariance (1/K) Y Y^H of the secondary data, as the (N, N)
+    matrix the trial engine forms; nothing is decomposed here."""
     Y = samples.Y if isinstance(samples, SampleSet) else np.asarray(samples)
     if Y.ndim != 2 or Y.shape[1] < 1:
         raise ConfigError("secondary data must be a nonempty N x K matrix")
-    K = Y.shape[1]
-    return HermitianSpectrum.from_matrix((Y @ Y.conj().T) / K,
-                                         label="sample covariance")
+    return (Y @ Y.conj().T) / Y.shape[1]
 
 
 # --- scenario (de)serialization ------------------------------------------
 
+CLUTTER_MODELS = {c.kind: c for c in (ToeplitzClutter, LowRankClutter)}
+
+
 def _clutter_from_json(doc):
-    kind = doc.get("type")
-    if kind == "toeplitz":
-        return ToeplitzClutter(clutter_power=float(doc["clutter_power"]),
-                               one_lag=float(doc["one_lag"]))
-    if kind == "lowrank":
-        return LowRankClutter(patch_angles_deg=tuple(doc["patch_angles_deg"]),
-                              patch_powers=tuple(doc["patch_powers"]))
-    raise ConfigError(f"unknown clutter type {kind!r}")
+    model = CLUTTER_MODELS.get(doc.get("type"))
+    if model is None:
+        raise ConfigError(f"unknown clutter type {doc.get('type')!r}")
+    return model(*(doc[f.name] for f in fields(model)))
 
 
 def _clutter_to_json(clutter):
-    if clutter.kind == "toeplitz":
-        return {"type": "toeplitz", "clutter_power": clutter.clutter_power,
-                "one_lag": clutter.one_lag}
-    return {"type": "lowrank",
-            "patch_angles_deg": list(clutter.patch_angles_deg),
-            "patch_powers": list(clutter.patch_powers)}
+    return {"type": clutter.kind, **{k: list(v) if isinstance(v, tuple) else v
+                                     for k, v in asdict(clutter).items()}}
+
+
+def parse_document(text):
+    """Scenario JSON text as a dict; NaN and Infinity raise ConfigError."""
+    def reject(name):
+        raise ConfigError(f"scenario file holds {name}, not a finite number")
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"scenario file is not valid JSON: {e}") from e
 
 
 def scenario_from_json(doc):
@@ -368,10 +378,7 @@ def scenario_from_json(doc):
     model choice; amplitudes are set by the harness from the SCNR under test.
     """
     if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"scenario file is not valid JSON: {e}") from e
+        doc = parse_document(doc)
     try:
         scen = Scenario(N=int(doc["N"]), K=int(doc["K"]),
                         clutter=_clutter_from_json(doc["clutter"]),

@@ -75,7 +75,7 @@ class TestLoadedForms:
         y0, S = _draw(scen_n24_k48, seed=5)
         s = scen_n24_k48.steering.entries
         lam = 2.5
-        A = S.matrix + lam * np.eye(scen_n24_k48.N)
+        A = S + lam * np.eye(scen_n24_k48.N)
         alpha_ref = s.conj() @ np.linalg.solve(A, y0)
         beta_ref = (s.conj() @ np.linalg.solve(A, s)).real
         alpha, beta = oracles.loaded_forms(S, s, y0, lam)
@@ -92,8 +92,7 @@ class TestLoadedForms:
         # must refuse rather than divide by a zero eigenvalue
         rng = trial_rng(9, 0, 0)
         ds = sample_dataset(scen_n24_k48, Swerling0(), "h0", rng)
-        with pytest.warns(RuntimeWarning):
-            S = scm(ds.Y[:, :10])
+        S = scm(ds.Y[:, :10])
         for kind, lam in (("scm-amf", None), ("dl-scm-beta", 1.0),
                           ("persym-amf", None)):
             with pytest.raises(NumericalError):
@@ -234,7 +233,7 @@ class TestPersymmetry:
 
     def test_stat_matches_manual(self, scen_n24_k48):
         y0, S = _draw(scen_n24_k48, seed=59)
-        P = HermitianSpectrum.from_matrix(oracles.persymmetrize(S.matrix))
+        P = HermitianSpectrum.from_matrix(oracles.persymmetrize(S))
         assert _stat("persym-amf", y0, scen_n24_k48, S) == pytest.approx(
             oracles.stat_amf(P, scen_n24_k48.steering, y0), rel=1e-12)
 
@@ -266,7 +265,7 @@ class TestAccessControl:
         ids=["non-square", "wrong-n", "vector"])
     def test_scm_shape_checked(self, scen_n24_k48, cut):
         y0, S = _draw(scen_n24_k48, seed=61)
-        bad = S.matrix[cut]
+        bad = S[cut]
         with pytest.raises(ConfigError, match="sample covariance"):
             detectors.evaluate_statistic(DetectorSpec("scm-amf"), y0,
                                          scen_n24_k48.steering, 48, scm=bad)

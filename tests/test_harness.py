@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlamf import detectors, harness, theory
-from dlamf.detectors import DetectorSpec, _spectral_rows
+from dlamf import detectors, estimators, harness, optimizer, theory
+from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
-from dlamf.estimators import _loaded_rows
+from dlamf.estimators import _loaded_rows, _spectral_rows
 from dlamf.optimizer import OptConfig, lambda_opt
 from dlamf.harness import (TrialConfig, _BatchPlan, _eval_chunk, _generate,
                            calibrate_threshold, detection_loss_table,
@@ -275,7 +275,7 @@ class TestBatchScalarAgreement:
                 np.testing.assert_array_equal(a, b, err_msg=sp.label)
 
 
-# the true covariance and the SCMs are clamped, with a warning each
+# the true covariance is clamped, with a warning
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestSingularScm:
     # the last kind of each set is one the scalar path rejects
@@ -319,6 +319,85 @@ class TestSingularScm:
             stats = h0_statistics(scen, specs, 16, master_seed=0)
             assert np.all(np.isfinite(stats[dl.label]))
 
+    @pytest.mark.parametrize("lam", [0.0, np.array([1.0, 0.0])],
+                             ids=["zero", "array-holding-zero"])
+    def test_estimators_refuse_unloaded(self, lam):
+        # the plug-in estimators guard lam = 0 as the unloaded kinds do
+        scen = _singular_scenario()
+        ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, 0))
+        S, s = scm(ds), scen.steering
+        for fn in (estimators.estimated_equivalents, estimators.mu0_hat,
+                   estimators.gamma_hat, estimators.kappa_lower_hat):
+            with pytest.raises(NumericalError):
+                fn(S, s, lam, scen.K)
+        assert np.isfinite(estimators.mu0_hat(S, s, 1.0, scen.K))
+
+    def test_loadings_still_found(self):
+        # the engine runs the el and opt kinds on this scenario, so the
+        # scalar loading rules return finite loadings too
+        scen = _singular_scenario()
+        for t in range(4):
+            ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, t))
+            S = scm(ds)
+            for lam in (estimators.el_lambda(S, scen.K),
+                        optimizer.lambda_opt_hat(S, scen.steering,
+                                                 scen.K).lambda_star):
+                assert math.isfinite(lam) and lam >= 0.0
+
+
+class TestOneReduction:
+    """The scalar estimators reduce an SCM as the trial engine does."""
+
+    def test_no_eigh_on_sample_covariances(self, scen_n24_k48, monkeypatch):
+        scen, s, K = scen_n24_k48, scen_n24_k48.steering, scen_n24_k48.K
+        ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(3, 0, 0))
+        scen.covariance()   # the true covariance is decomposed once, here
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        S = scm(ds)
+        estimators.estimated_equivalents(S, s, np.array([0.0, 1.5]), K)
+        estimators.el_lambda(S, K)
+        optimizer.lambda_opt_hat(S, s, K)
+        for sp in _all_specs():
+            if sp.kind not in detectors.ORACLE_TAGS:
+                detectors.evaluate_statistic(sp, ds.y0, s, K, scm=S)
+        assert not calls
+
+    def test_scalar_estimators_are_engine(self, scen_n24_k48, monkeypatch):
+        # el_lambda and lambda_opt_hat give the loadings Plan.forms uses,
+        # and mu0_hat at them the engine's normalizer, bit for bit
+        scen, s, K = scen_n24_k48, scen_n24_k48.steering, scen_n24_k48.K
+        plan = _BatchPlan(scen, [DetectorSpec("cfar-el-amf"),
+                                 DetectorSpec("opt-cfar-dl-amf")])
+        red = harness._reduce_block(plan, 11, 0, 0, 8)
+        used = {}
+
+        def record(key, fn):
+            def wrapped(*args):
+                used[key] = fn(*args)
+                return used[key]
+            return wrapped
+
+        monkeypatch.setattr(estimators, "_el_rows",
+                            record("el", estimators._el_rows))
+        monkeypatch.setattr(optimizer, "lambda_opt_rows",
+                            record("adaptive-opt", optimizer.lambda_opt_rows))
+        forms = plan.forms(red)
+        monkeypatch.undo()
+        used["adaptive-opt"] = used["adaptive-opt"][0]
+        for t in range(8):
+            S = scm(sample_dataset(scen, Swerling0(), "h0",
+                                   trial_rng(11, 0, t)))
+            lams = {"el": estimators.el_lambda(S, K),
+                    "adaptive-opt": optimizer.lambda_opt_hat(
+                        S, s, K).lambda_star}
+            for key, lam in lams.items():
+                assert lam == used[key][t], (key, t)
+                assert estimators.mu0_hat(S, s, lam, K) == forms[key][2][t], \
+                    (key, t)
+
 
 def _eigh_rows(S, y0, s):
     """l, w2 and wz of a block of SCMs from a batched complex eigh."""
@@ -339,7 +418,7 @@ class TestSpectralRows:
     @staticmethod
     def _compare(S, y0, plan):
         ref = _eigh_rows(S, y0, plan.s)
-        got = _spectral_rows(S.copy(), y0, plan)
+        got = _spectral_rows(S.copy(), plan.s, y0)
         top = ref[0][:, -1:]
         assert np.all(np.abs(got["l"] - ref[0]) <= 1e-12 * top)
         lams = np.mean(ref[0], axis=1)[:, None] * np.array([1e-3, 1.0, 1e3])

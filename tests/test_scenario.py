@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -140,6 +141,48 @@ class TestJson:
             scenario_from_json(doc)
 
 
+class TestNonFiniteInputs:
+    """NaN and infinite scenario inputs raise ConfigError before any
+    matrix is built or decomposed."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_power", math.nan), ("noise_power", math.inf),
+        ("steering_deg", math.nan), ("steering_deg", math.inf)])
+    def test_scenario(self, field, value):
+        kw = dict(N=8, K=16, clutter=ToeplitzClutter(10.0, 0.9),
+                  noise_power=1.0, steering_deg=20.0)
+        kw[field] = value
+        with pytest.raises(ConfigError, match=field):
+            Scenario(**kw)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    def test_toeplitz_power(self, power):
+        with pytest.raises(ConfigError, match="clutter_power"):
+            ToeplitzClutter(power, 0.9)
+
+    @pytest.mark.parametrize("angles,powers", [
+        ((0.0, math.nan), (1.0, 1.0)), ((math.inf,), (1.0,)),
+        ((0.0, 10.0), (1.0, math.nan)), ((0.0,), (math.inf,))],
+        ids=["nan-angle", "inf-angle", "nan-power", "inf-power"])
+    def test_lowrank(self, angles, powers):
+        with pytest.raises(ConfigError, match="patch"):
+            LowRankClutter(angles, powers)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_spectrum_from_matrix(self, value):
+        A = np.eye(4, dtype=complex)
+        A[1, 2] = value
+        with pytest.raises(ConfigError, match="non-finite"):
+            HermitianSpectrum.from_matrix(A)
+
+    @pytest.mark.parametrize("field", ["noise_power", "steering_deg"])
+    def test_json_text(self, field):
+        doc = scenario_to_json(toeplitz_scenario(8, 16))
+        doc[field] = math.nan
+        with pytest.raises(ConfigError, match="NaN"):
+            scenario_from_json(json.dumps(doc))
+
+
 class TestRng:
     def test_trial_rng_reproducible(self):
         a = trial_rng(42, 0, 7).standard_normal(8)
@@ -197,7 +240,7 @@ class TestSampling:
         # SCM over many snapshots approaches the scenario covariance
         scen = toeplitz_scenario(4, 4000, rho=0.6)
         ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(1, 0, 0))
-        R_hat = scm(ds).matrix
+        R_hat = scm(ds)
         R = scen.clutter.matrix(4)
         R[np.diag_indices(4)] += scen.noise_power
         assert np.linalg.norm(R_hat - R) / np.linalg.norm(R) < 0.1
