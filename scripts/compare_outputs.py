@@ -10,12 +10,13 @@ largest relative difference; a relative difference is |a - b| / max(|a|, |b|)
 and is 0 where both cells are 0. Cells that do not parse as numbers are
 compared as text and counted when they differ.
 
-Every manifest.json found in both directories has its "notes" compared the
-same way: each numeric leaf (design values such as lambda_0, the kappa at
-it and the crossing) gets its absolute and relative difference, and other
-leaves are compared as text. Exits with status 1 when the two file sets,
-the headers or the row counts of a matched file, or the leaves of matched
-notes differ.
+Every manifest.json found in both directories has its "notes" and
+"thresholds" compared the same way: each numeric leaf (design values such
+as lambda_0, the kappa at it and the crossing; each detector's tau and
+achieved Pfa) gets its absolute and relative difference, and other leaves
+are compared as text. Exits with status 1 when the two file sets, the
+headers or the row counts of a matched file, or the leaves of matched
+manifests differ.
 """
 
 import argparse
@@ -84,11 +85,19 @@ def is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def manifest_leaves(path):
+    """{dotted path: value} of a manifest's compared sections."""
+    doc = json.loads(path.read_text())
+    out = {}
+    for section in ("notes", "thresholds"):
+        out.update(leaves(doc.get(section, {}), section))
+    return out
+
+
 def compare_notes(name, path_a, path_b):
-    """Print the differences of two manifests' notes; True if their leaves
-    are not the same set."""
-    notes = [leaves(json.loads(p.read_text()).get("notes", {}), "notes")
-             for p in (path_a, path_b)]
+    """Print the differences of two manifests' notes and thresholds; True
+    if their leaves are not the same set."""
+    notes = [manifest_leaves(p) for p in (path_a, path_b)]
     failed = False
     for key in sorted(notes[0].keys() ^ notes[1].keys()):
         print(f"{name} {key}: only in {'A' if key in notes[0] else 'B'}")

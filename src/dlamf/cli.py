@@ -2,9 +2,11 @@
 
 Every command writes its data files plus a manifest.json into --out; the
 manifest records the command line, config digest, seed and every output
-file, so a run is reproducible from the manifest alone. Figures ship as
-data series (x, y, ci_lo, ci_hi), not images; scripts/plot_results.py can
-render them.
+file, so a run is reproducible from the manifest alone. Its "thresholds"
+hold each calibrated detector's tau and achieved Pfa with its Wilson
+interval, by detector label (reproduce: by panel, then label). Figures
+ship as data series (x, y, ci_lo, ci_hi), not images;
+scripts/plot_results.py can render them.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure. Errors go
 to stderr as one JSON object.
@@ -128,6 +130,7 @@ class _Run:
         self.args = args
         self.doc = scenario_doc
         self.notes = notes or {}
+        self.thresholds = {}
         self.files = []
 
     def path(self, name):
@@ -145,6 +148,7 @@ class _Run:
             "config_digest": _digest(self.doc) if self.doc else None,
             "scenario": self.doc,
             "notes": self.notes,
+            "thresholds": self.thresholds,
             "outputs": list(self.files),
         }
         if extra:
@@ -243,6 +247,12 @@ def _threshold_rows(taus, specs):
     return rows
 
 
+def _pfa_record(taus):
+    """{label: {tau, achieved_pfa, pfa_ci}} of {label: ThresholdResult}."""
+    return {label: {"tau": t.tau, "achieved_pfa": t.achieved_pfa,
+                    "pfa_ci": list(t.pfa_ci)} for label, t in taus.items()}
+
+
 def cmd_threshold(args, argv):
     scen, _, doc = _load_scenario(args.config)
     specs = _parse_detectors(args.detector, args.lam)
@@ -251,6 +261,7 @@ def cmd_threshold(args, argv):
                       workers=args.workers, opt_config=_opt_config(args))
     run = _Run(argv, args.out, doc)
     taus = harness.calibrate_threshold(cfg)
+    run.thresholds.update(_pfa_record(taus))
     _write_csv(run.path("thresholds.csv"),
                ("detector", "kind", "lambda", "tau", "achieved_pfa",
                 "pfa_ci_lo", "pfa_ci_hi", "tau_ci_lo", "tau_ci_hi", "trials"),
@@ -270,6 +281,7 @@ def cmd_pd_sweep(args, argv):
                       opt_config=_opt_config(args))
     run = _Run(argv, args.out, doc, notes={"target": target})
     taus = harness.calibrate_threshold(cal)
+    run.thresholds.update(_pfa_record(taus))
     curves = harness.pd_vs_scnr_sweep(
         replace(cal, trials=args.trials),
         {sp.label: taus[sp.label].tau for sp in specs}, grid, target)
@@ -289,6 +301,8 @@ def cmd_loss_table(args, argv):
         scen, specs, pfa_pre=args.pfa, threshold_trials=args.threshold_trials,
         pd_trials=args.trials, master_seed=args.seed, pd_target=args.pd,
         workers=args.workers, opt_config=_opt_config(args))
+    run.thresholds.update(_pfa_record(
+        {r["detector"]: r["threshold"] for r in rows}))
     _write_csv(run.path("loss_table.csv"), LOSS_COLUMNS,
                ([r[c] for c in LOSS_COLUMNS] for r in rows))
     run.finish({"seed": args.seed, "pfa": args.pfa, "trials": args.trials,
@@ -452,6 +466,7 @@ def _curves(run, item, row, budgets, seed, workers, pfa):
                           trials=budgets["threshold"], master_seed=seed,
                           pfa_pre=pfa, workers=workers)
         taus = harness.calibrate_threshold(cal)
+        run.thresholds[name] = _pfa_record(taus)
         mc = harness.pd_vs_scnr_sweep(
             replace(cal, trials=budgets["pd"]),
             {sp.label: taus[sp.label].tau for sp in specs}, grid, TARGETS)
@@ -480,11 +495,13 @@ def _curves(run, item, row, budgets, seed, workers, pfa):
 def _loss_table(run, item, scen_fn, budgets, seed, workers, pfa):
     rows = []
     for K in (48, 28):
-        for r in harness.detection_loss_table(
-                scen_fn(24, K), _specs(LOSS_TAGS), pfa_pre=pfa,
-                threshold_trials=budgets["threshold"],
-                pd_trials=budgets["pd"], master_seed=seed, workers=workers):
-            rows.append([K] + [r[c] for c in LOSS_COLUMNS])
+        table = harness.detection_loss_table(
+            scen_fn(24, K), _specs(LOSS_TAGS), pfa_pre=pfa,
+            threshold_trials=budgets["threshold"], pd_trials=budgets["pd"],
+            master_seed=seed, workers=workers)
+        run.thresholds[f"{item}_K{K}"] = _pfa_record(
+            {r["detector"]: r["threshold"] for r in table})
+        rows += ([K] + [r[c] for c in LOSS_COLUMNS] for r in table)
     _write_csv(run.path(f"{item}.csv"), ("K",) + LOSS_COLUMNS, rows)
 
 

@@ -452,7 +452,8 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
 
     One h0 pass calibrates every threshold, one coefficient pass serves all
     SCNR bisections (common random numbers across detectors and targets).
-    Rows: {detector, target, tau, scnr_db, loss_db}.
+    Rows: {detector, kind, target, tau, scnr_db, loss_db, threshold}, with
+    the detector's ThresholdResult as threshold.
     """
     specs = list(specs)
     if not any(sp.kind == NP for sp in specs):
@@ -474,7 +475,7 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
                 ref_db = db
             rows.append({"detector": sp.label, "kind": sp.kind,
                          "target": target, "tau": taus[sp.label].tau,
-                         "scnr_db": db})
+                         "scnr_db": db, "threshold": taus[sp.label]})
         for row in rows:
             if row["target"] == target:
                 row["loss_db"] = row["scnr_db"] - ref_db

@@ -9,8 +9,8 @@ bracket. Ties break toward the smallest loading. The scalar API is the
 search on one row; the trial engine runs it on every trial of a chunk. The
 objective takes a (B, m) array of loadings: the grid goes in column groups
 (one call for one row), each golden step in one column. The kappa curve
-and the crossing scan are one array call each; only the crossing's root
-finder evaluates one loading at a time.
+is one array call; the crossing is one array call on the grid, then one
+per pass that narrows its bracket.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import estimators, rmt
 from .errors import ConfigError
@@ -34,6 +33,11 @@ _GRID_CELLS = 4096
 # a search is flat (lambda* = 0) when no grid point beats lam = 0 by more than
 # this, relative to max(1, |objective at 0|)
 _FLAT_RTOL = 1e-12
+# a crossing bracket [lo, hi] is cut into _CROSSING_POINTS + 1 equal parts
+# per pass until hi - lo <= _CROSSING_TOL * (1 + hi), the xtol = rtol test
+# of a brentq call
+_CROSSING_POINTS = 64
+_CROSSING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -220,18 +224,29 @@ def kappa_crossing(R, s, K, level=None, config=None):
 
     kappa starts at 1 - c, rises, and for scenarios whose matched-filter
     limit is poor falls back through it; the crossing marks where loading
-    stops paying. Returns None when kappa stays above the level on the grid.
+    stops paying. The first grid bracket past the peak where kappa drops
+    below the level is narrowed by kappa on an even subgrid per pass, and
+    a secant step across the last bracket gives the root. Returns None when
+    kappa never reaches the level, or stays above it, on the grid.
     """
     R = as_spectrum(R)
-    N = R.dim
     if level is None:
-        level = 1.0 - N / K
+        level = 1.0 - R.dim / K
+    elif not math.isfinite(level):
+        raise ConfigError(f"crossing level must be finite, got {level}")
     grid = _log_grid(config or OptConfig(), R.eigenvalues)
     vals = rmt.kappa(R, s, grid, K) - level
     best = int(np.argmax(vals))
     below = np.nonzero(vals[best:] < 0.0)[0]
-    if best == 0 or below.shape[0] == 0:
+    if best == 0 or vals[best] < 0.0 or below.shape[0] == 0:
         return None
     j = best + below[0]
-    return float(brentq(lambda lam: rmt.kappa(R, s, lam, K) - level,
-                        grid[j - 1], grid[j], xtol=1e-12, rtol=1e-12))
+    # x[0] < x[1] with v[0] >= 0 > v[1]
+    x, v = grid[j - 1:j + 1], vals[j - 1:j + 1]
+    while x[1] - x[0] > _CROSSING_TOL * (1.0 + x[1]):
+        xs = np.linspace(x[0], x[1], _CROSSING_POINTS + 2)
+        vs = np.concatenate(
+            (v[:1], rmt.kappa(R, s, xs[1:-1], K) - level, v[1:]))
+        k = int(np.argmax(vs < 0.0))
+        x, v = xs[k - 1:k + 1], vs[k - 1:k + 1]
+    return float(x[0] + v[0] * (x[1] - x[0]) / (v[0] - v[1]))

@@ -194,6 +194,18 @@ class LowRankClutter:
         return out
 
 
+def _whole(name, value):
+    """value as an int; ConfigError unless it is a whole number (a NaN,
+    an infinity, a fraction or a string is not)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Problem instance: dimensions, clutter model, noise floor, look angle.
@@ -209,9 +221,11 @@ class Scenario:
     steering_deg: float
 
     def __post_init__(self):
-        if int(self.N) < 1 or int(self.K) < 1:
+        for name in ("N", "K"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        if self.N < 1 or self.K < 1:
             raise ConfigError(f"N and K must be >= 1, got N={self.N} K={self.K}")
-        if int(self.K) <= int(self.N):
+        if self.K <= self.N:
             raise ConfigError(
                 f"K must exceed N (adaptive detection and the asymptotic "
                 f"regime both need c = N/K < 1), got N={self.N} K={self.K}")
@@ -380,7 +394,7 @@ def scenario_from_json(doc):
     if isinstance(doc, (str, bytes)):
         doc = parse_document(doc)
     try:
-        scen = Scenario(N=int(doc["N"]), K=int(doc["K"]),
+        scen = Scenario(N=doc["N"], K=doc["K"],
                         clutter=_clutter_from_json(doc["clutter"]),
                         noise_power=float(doc["noise_power"]),
                         steering_deg=float(doc["steering_deg"]))

@@ -92,6 +92,13 @@ def dense_kappa(R, s, lam, K):
     return (1.0 - e["gamma"]) * e["psi"] ** 2 / (e["q"] * e["xi"])
 
 
+def kappa_crossing(R, s, K, level, lo, hi):
+    """The loading in [lo, hi] where dense_kappa meets level, by brentq at
+    its tightest relative tolerance."""
+    return brentq(lambda lam: dense_kappa(R, s, lam, K) - level, lo, hi,
+                  xtol=1e-300, rtol=1e-15)
+
+
 def dense_estimated(scm, s, lam, K):
     """Plug-in consistent estimators from a dense sample covariance."""
     scm = np.asarray(scm, dtype=complex)

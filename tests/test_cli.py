@@ -244,6 +244,62 @@ class TestManifestTiming:
         assert doc["elapsed_s"] >= self.SLEEP
 
 
+class TestManifestThresholds:
+    """manifest.json "thresholds" holds each calibrated detector's tau,
+    achieved Pfa and Wilson interval, as the run's own tables have them."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_commands_record_their_calibration(self, tmp_path):
+        # one seed, Pfa and calibration budget: the three commands
+        # calibrate on the same h0 trials
+        common = ["--config", TOEPLITZ, "--detector", "np,scm-amf",
+                  "--pfa", "1e-1", "--seed", "5"]
+        runs = {"threshold": ["--trials", "400"],
+                "pd-sweep": ["--threshold-trials", "400", "--trials", "50",
+                             "--scnr-db", "0:5:5"],
+                "loss-table": ["--threshold-trials", "400",
+                               "--trials", "100"]}
+        records = {}
+        for command, extra in runs.items():
+            out = tmp_path / command
+            assert cli.main([command, *common, *extra,
+                             "--out", str(out)]) == 0
+            doc = json.loads((out / "manifest.json").read_text())
+            records[command] = doc["thresholds"]
+            assert "thresholds" not in doc["notes"]
+        _, rows = _read_csv(tmp_path / "threshold" / "thresholds.csv")
+        expected = {r[0]: {"tau": float(r[3]), "achieved_pfa": float(r[4]),
+                           "pfa_ci": [float(r[5]), float(r[6])]}
+                    for r in rows}
+        assert sorted(expected) == ["np", "scm-amf"]
+        for command, rec in records.items():
+            assert rec == expected, command
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_reproduce_records_each_panel(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "FAST_BUDGETS", TINY_BUDGETS)
+        docs = {}
+        for item in ("fig1", "fig6", "table2"):
+            out = tmp_path / item
+            assert cli.main(["reproduce", item, "--fast", "--pfa", "0.05",
+                             "--out", str(out)]) == 0
+            docs[item] = json.loads((out / "manifest.json").read_text())
+        assert docs["fig1"]["thresholds"] == {}   # histograms only
+        fig6 = docs["fig6"]["thresholds"]
+        assert sorted(fig6) == ["fig6"]
+        assert sorted(fig6["fig6"]) == ["dl-amf(lam=0.5)", "dl-amf(lam=20)",
+                                        "dl-amf(lam=200)", "dl-amf(lam=3.12)",
+                                        "np", "scm-amf"]
+        table = docs["table2"]["thresholds"]
+        assert sorted(table) == ["table2_K28", "table2_K48"]
+        _, rows = _read_csv(tmp_path / "table2" / "table2.csv")
+        for K, detector, _, _, tau, _, _ in rows:
+            rec = table[f"table2_K{K}"][detector]
+            assert rec["tau"] == float(tau)
+            lo, hi = rec["pfa_ci"]
+            assert lo <= rec["achieved_pfa"] == 0.05 <= hi
+
+
 class TestErrorsAndUsage:
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])
@@ -354,7 +410,7 @@ PINNED = {
     "fig6": (25,
         "ef80d418f2716ea844a654e1e5037b5183cbe2c1292696aa40200fa1d65154be",
         "4fd8d731e53c69ea37f7d86ef0632e1b5e60679bf91427cef63fde153d9e4df5",
-        {"fig6": {"crossing": 30.12669300772068,
+        {"fig6": {"crossing": 30.12669300772067,
                   "kappa_at_lambda_0": 0.9109616595431769,
                   "kappa_inf": 0.33224517254468505,
                   "lambda_0": 3.121801982241552,

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dlamf.errors import ConfigError
 from dlamf.optimizer import OptConfig
 from dlamf.scenario import Swerling0, sample_dataset, scm, trial_rng
 
+import oracles
 from conftest import lowrank_scenario, toeplitz_scenario
 
 
@@ -189,6 +191,32 @@ class TestKappaCrossing:
         x = optimizer.kappa_crossing(R, scen.steering, 48, level=0.8)
         assert rmt.kappa(R, scen.steering, x, 48) == pytest.approx(0.8,
                                                                    abs=1e-9)
+
+    @pytest.mark.parametrize("level", [None, 0.8], ids=["one-minus-c", "0.8"])
+    def test_matches_brentq(self, level):
+        # design B: the root to brentq's xtol = rtol = 1e-12, against a
+        # dense-inverse kappa solved between the peak and lambda_max
+        scen = toeplitz_scenario(12, 48, theta=5.0)
+        R, s = scen.covariance(), scen.steering
+        x = optimizer.kappa_crossing(R, s, 48, level=level)
+        ref = oracles.kappa_crossing(
+            R.matrix, s.entries, 48, 0.75 if level is None else level,
+            optimizer.lambda_opt(R, s, 48).lambda_star,
+            100.0 * np.mean(R.eigenvalues))
+        assert x == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_level_above_peak_returns_none(self):
+        # kappa < 1 everywhere, so it never reaches 2
+        scen = toeplitz_scenario(12, 48, theta=5.0)
+        assert optimizer.kappa_crossing(scen.covariance(), scen.steering,
+                                        48, level=2.0) is None
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level(self, level):
+        scen = toeplitz_scenario(12, 48, theta=5.0)
+        with pytest.raises(ConfigError, match="level"):
+            optimizer.kappa_crossing(scen.covariance(), scen.steering, 48,
+                                     level=level)
 
 
 class TestKappaCurve:

@@ -175,6 +175,29 @@ class TestNonFiniteInputs:
         with pytest.raises(ConfigError, match="non-finite"):
             HermitianSpectrum.from_matrix(A)
 
+    @pytest.mark.parametrize("field", ["N", "K"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 8.7,
+                                       "8", None])
+    def test_dimension_dict(self, field, value):
+        doc = scenario_to_json(toeplitz_scenario(8, 16))
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be a whole"):
+            scenario_from_json(doc)
+
+    @pytest.mark.parametrize("field,value", [("N", 8.7), ("K", 16.5)])
+    def test_dimension_json_text(self, field, value):
+        doc = scenario_to_json(toeplitz_scenario(8, 16))
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be a whole"):
+            scenario_from_json(json.dumps(doc))
+
+    def test_whole_float_dimensions_accepted(self):
+        doc = scenario_to_json(toeplitz_scenario(8, 16))
+        doc.update(N=8.0, K=16.0)
+        scen, _ = scenario_from_json(doc)
+        assert (scen.N, scen.K) == (8, 16)
+        assert type(scen.N) is int and type(scen.K) is int
+
     @pytest.mark.parametrize("field", ["noise_power", "steering_deg"])
     def test_json_text(self, field):
         doc = scenario_to_json(toeplitz_scenario(8, 16))

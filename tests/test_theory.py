@@ -211,6 +211,13 @@ def test_import_leaves_scipy_stats_unloaded():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize would add about 17 MiB and 0.1-0.3 s to every process
+    code = ("import sys, dlamf; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 class TestAsymptoticPfa:
     def _params(self, scen):
         return rmt.deterministic_equivalents(scen.covariance(),
