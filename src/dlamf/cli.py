@@ -4,7 +4,9 @@ Every command writes its data files plus a manifest.json into --out; the
 manifest records the command line, config digest, seed and every output
 file, so a run is reproducible from the manifest alone. Its "thresholds"
 hold each calibrated detector's tau and achieved Pfa with its Wilson
-interval, by detector label (reproduce: by panel, then label). Figures
+interval, by detector label (reproduce: by panel, then label); as in
+thresholds.csv, the achieved Pfa is in-sample (see
+harness.threshold_from_stats), not an independent check. Figures
 ship as data series (x, y, ci_lo, ci_hi), not images;
 scripts/plot_results.py can render them.
 

@@ -15,11 +15,11 @@ mu0 of rmt, the plug-in mu0_hat, or q = s^H R^{-1} s for np.
 A Plan reads the table for a set of detectors: the loadings fixed for the
 run, the per-trial searches, the oracle constants and the route by which
 sample covariances S are reduced. Plan.reduce takes a block of trials' S
-to what the statistics need, Plan.forms turns that (of a block or a
-chunk) into (alpha, beta, mu0_hat) at every loading, and Plan.assemble
-picks each kind's pieces. The trial engine (harness) runs these on blocks
-it draws, evaluate_statistic on a block of one trial, so the two agree bit
-for bit. Oracle kinds see the true covariance, adaptive kinds only S.
+to what the statistics need, Plan.forms turns that into (alpha, beta,
+mu0_hat) at every loading, and Plan.assemble picks each kind's pieces.
+The trial engine (harness) runs these on blocks it draws,
+evaluate_statistic on a block of one trial, so the two agree bit for bit.
+Oracle kinds see the true covariance, adaptive kinds only S.
 
 The route follows from the detector set alone:
 
@@ -209,23 +209,28 @@ class Plan:
         return {"zero": 0.0, "fixed": spec.lam,
                 "oracle-opt": self.opt_lambda}.get(source, source)
 
-    def bordered(self, y0):
-        """Zeroed (B, N+2, N+2) buffer with the border of [[M, X], [X^H, D]],
+    def bordered(self, y0, out=None):
+        """(B, N+2, N+2) buffer with the border of [[M, X], [X^H, D]],
         X = [s, y0] and D = _BORDER I, written below the diagonal only (all
         Cholesky reads). The caller writes M into the top-left N x N block.
+        out, a buffer of an earlier call (or its leading trials) whose
+        entries outside that block and the border are still zero, is
+        rewritten in place; else a zeroed buffer is allocated.
         """
         B, N = y0.shape
-        A = np.zeros((B, N + 2, N + 2), dtype=complex)
+        A = np.zeros((B, N + 2, N + 2), dtype=complex) if out is None \
+            else out
         A[:, N, :N] = np.conj(self.s)
-        A[:, N + 1, :N] = np.conj(y0)
+        np.conjugate(y0, out=A[:, N + 1, :N])
         A[:, N, N] = A[:, N + 1, N + 1] = _BORDER
         return A
 
-    def reduce(self, A, y0):
+    def reduce(self, A, y0, persym=None):
         """What the statistics need from a block of trials.
 
         A is a bordered buffer of y0 (B, N) holding the trials' SCMs S in
-        its corner; the Cholesky route rewrites their diagonal. Returns
+        its corner; the Cholesky route rewrites their diagonal. persym, a
+        bordered buffer for persym-amf, is reused when given. Returns
         persym-amf's forms under "persym" when planned and, per route, the
         spectral rows l, w2 = |V^H s|^2 and wz = conj(V^H s) (V^H y0) or
         the forms of each fixed loading, keyed by the loading.
@@ -235,7 +240,7 @@ class Plan:
         out = {}
         if self.need_persym:
             # first, since the loadings below rewrite the diagonal of S
-            out["persym"] = _persym_forms(S, y0, self)
+            out["persym"] = _persym_forms(S, y0, self, persym)
         if self.spectral:
             out.update(estimators._spectral_rows(S, self.s, y0))
             return out
@@ -248,10 +253,10 @@ class Plan:
 
     def forms(self, red):
         """(alpha, beta, mu0_hat or None) at every loading of the set, from
-        reduce's output for one block or merged over several. On the
-        spectral route the EL and opt searches run here, once over all rows,
-        and every loading but persym's is added under its fixed value, "el"
-        or "adaptive-opt"; unloaded rows must be invertible.
+        reduce's output for one block. On the spectral route the EL and opt
+        searches run here over the block's rows, each row on its own, and
+        every loading but persym's is added under its fixed value, "el" or
+        "adaptive-opt"; unloaded rows must be invertible.
         """
         if not self.spectral:
             return red
@@ -360,15 +365,16 @@ def _inverse_norms(L, uh):
     return tr, xn
 
 
-def _persym_forms(S, y0, plan):
+def _persym_forms(S, y0, plan, out=None):
     """persym-amf's (alpha, beta, None) from the persymmetrized SCM
-    0.5 (S + J S^T J), written into a bordered buffer of its own.
+    0.5 (S + J S^T J), written into a bordered buffer of its own (out, as
+    in Plan.bordered).
 
     J S^T J reads the lower triangle of S where J conj(S) J reads the upper
     one; the two agree on a Hermitian S.
     """
     N = plan.N
-    A = plan.bordered(y0)
+    A = plan.bordered(y0, out)
     blk = A[:, :N, :N]
     np.add(S, S.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
     blk *= 0.5

@@ -16,20 +16,23 @@ b, the h0 one at b = 0. One pass serves every SCNR on a sweep and both
 Swerling 0 and Swerling I targets, and SCNR-at-Pd bisection re-thresholds
 cached coefficients instead of re-simulating.
 
-Within a chunk, trials are drawn, colored and formed into their sample
-covariances S a block at a time: at most _BLOCK trials, and fewer when
-their snapshots would pass _BLOCK_BYTES. S goes straight into the corner
-of a detectors.Plan bordered buffer, and Plan.reduce keeps a few numbers
-per trial (see the detectors module for its two routes), so a chunk of B
-trials holds O(N K + B N) memory at any array size. Plan.forms then runs
-the per-trial loading searches once over the chunk, and Plan.assemble
-gives each kind's (alpha, beta, norm). evaluate_statistic runs the same
-steps on a block of one trial.
+Within a chunk, trials are drawn, colored, reduced and turned into
+statistics a block at a time: at most _BLOCK trials, and fewer when their
+snapshots would pass _BLOCK_BYTES. The chunk allocates one _Workspace of
+block buffers (the draws, the colored snapshots and detectors.Plan
+bordered buffers) and every block reuses it, a partial block through
+leading views. S goes straight into the corner of the bordered buffer,
+Plan.reduce keeps a few numbers per trial (see the detectors module for its
+two routes), Plan.forms runs the per-trial loading searches on the block's
+rows and Plan.assemble gives each kind's (alpha, beta, norm). Only these
+and the amplitudes outlive a block, so a chunk of B trials holds one
+block's buffers plus O(B) numbers at any array size. evaluate_statistic
+runs the same steps on a block of one trial.
 
 Reproducibility: for a given (seed, stream, trial, detector set) every
-statistic is bit-identical for every worker count and chunk size. Two
-detector sets that take different routes may differ in the last bits of a
-fixed-loading kind's statistic.
+statistic is bit-identical for every worker count, chunk size and block
+size. Two detector sets that take different routes may differ in the last
+bits of a fixed-loading kind's statistic.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ from .scenario import philox_key
 DEFAULT_CHUNK = 4096
 # trials drawn, colored and reduced at a time within a chunk: at most
 # _BLOCK, and fewer when their snapshots (16 N (K+1) bytes each) would
-# exceed _BLOCK_BYTES
+# exceed _BLOCK_BYTES (111 trials at N=24, K=48; 42 at N=48, K=64)
 _BLOCK = 256
-_BLOCK_BYTES = 2 ** 24
+_BLOCK_BYTES = 2 ** 21
 _SQRT2 = np.sqrt(2)
 
 
@@ -146,9 +149,31 @@ def _reset_state(bitgen, ctr, key, buf, trial):
                     "has_uint32": 0, "uinteger": 0}
 
 
-def _generate(plan, master_seed, stream, lo, hi):
+class _Workspace:
+    """Block buffers of one chunk, allocated once and reused by each of its
+    blocks of at most B trials; a partial block takes leading views. They
+    belong to the chunk, not the plan, which worker processes receive
+    pickled."""
+
+    def __init__(self, plan, B):
+        N, M = plan.N, plan.K + 1
+        self.raw = np.empty((B, 2 * N * M))
+        self.amp = np.empty((B, 2))
+        self.Z = np.empty((B, N, M), dtype=complex)
+        self.colored = np.empty((B, N, M), dtype=complex)
+        self.y0 = np.empty((B, N), dtype=complex)
+        bordered = np.zeros((B, N + 2, N + 2), dtype=complex)
+        self.A = bordered if plan.need_scm else None
+        self.persym = bordered.copy() if plan.need_persym else None
+
+
+def _generate(plan, master_seed, stream, lo, hi, ws):
     """Raw colored snapshots for trials [lo, hi) plus unit amplitudes,
-    drawn after each trial's snapshot normals in its Philox block."""
+    drawn after each trial's snapshot normals in its Philox block.
+
+    y0 and the secondaries are views of the _Workspace ws's buffers, valid
+    until its next block is drawn.
+    """
     B = hi - lo
     N, K = plan.N, plan.K
     M = K + 1
@@ -158,39 +183,41 @@ def _generate(plan, master_seed, stream, lo, hi):
     gen = np.random.Generator(bitgen)
     ctr = np.zeros(4, np.uint64)
     buf = np.zeros(4, np.uint64)
-    raw = np.empty((B, 2 * nm))
-    amp = np.empty((B, 2))
+    raw, amp = ws.raw[:B], ws.amp[:B]
     for i in range(B):
         _reset_state(bitgen, ctr, key, buf, lo + i)
         gen.standard_normal(out=raw[i])
         gen.standard_normal(out=amp[i])
     # reals then imaginaries per trial; equal bit for bit to
     # (re + 1j * im) / sqrt(2), without the complex temporaries
-    Z = np.empty((B, N, M), dtype=complex)
+    Z = ws.Z[:B]
     Z.real = raw[:, :nm].reshape(B, N, M)
     Z.imag = raw[:, nm:].reshape(B, N, M)
-    del raw
     Z /= _SQRT2
-    colored = np.matmul(plan.sqrtR, Z)
-    # y0 is a copy, so dropping the secondaries frees the snapshot array
-    return (colored[:, :, 0].copy(), colored[:, :, 1:],
-            (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2)
+    colored = np.matmul(plan.sqrtR, Z, out=ws.colored[:B])
+    # y0 contiguous, so np's alpha = y0 @ t_conj keeps its BLAS layout
+    y0 = ws.y0[:B]
+    y0[...] = colored[:, :, 0]
+    return y0, colored[:, :, 1:], (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2
 
 
-def _reduce_block(plan, master_seed, stream, lo, hi):
-    """Draw trials [lo, hi) and form their SCMs in the plan's bordered
-    buffer; returns y0, the unit amplitudes and what plan.reduce keeps.
-    Nothing of size N x K outlives the block."""
-    y0, Y, amp = _generate(plan, master_seed, stream, lo, hi)
-    out = {"y0": y0, "amp": amp}
-    if plan.need_scm:
-        A = plan.bordered(y0)
-        S = A[:, :plan.N, :plan.N]
-        np.matmul(Y, Y.conj().transpose(0, 2, 1), out=S)
-        del Y
-        S /= plan.K
-        out.update(plan.reduce(A, y0))
-    return out
+def _reduce_block(plan, master_seed, stream, lo, hi, ws):
+    """Draw trials [lo, hi) and form their SCMs in the bordered buffer of
+    the _Workspace ws; returns y0, the unit amplitudes and what
+    plan.reduce keeps."""
+    y0, Y, amp = _generate(plan, master_seed, stream, lo, hi, ws)
+    if not plan.need_scm:
+        return y0, amp, {}
+    B, N, K = hi - lo, plan.N, plan.K
+    A = plan.bordered(y0, out=ws.A[:B])
+    # conj(Y) in Z's storage, free once the snapshots are colored
+    Yc = ws.Z[:B].reshape(B, -1)[:, :N * K].reshape(B, N, K)
+    np.conjugate(Y, out=Yc)
+    S = A[:, :N, :N]
+    np.matmul(Y, Yc.transpose(0, 2, 1), out=S)
+    S /= K
+    persym = None if ws.persym is None else ws.persym[:B]
+    return y0, amp, plan.reduce(A, y0, persym)
 
 
 def _eval_chunk(plan, master_seed, stream, lo, hi):
@@ -201,15 +228,19 @@ def _eval_chunk(plan, master_seed, stream, lo, hi):
     per-trial normalizer and amp the frozen unit amplitudes. The h0
     statistic is _statistic at b = 0, so the same pass serves h0 and h1.
 
-    Trials are drawn and reduced a block at a time; plan.forms then runs
-    the loading searches and the spectral forms once over the chunk's rows.
+    Each block of trials is drawn, reduced, put through plan.forms (the
+    loading searches and the spectral forms) and assembled in the chunk's
+    one workspace; the blocks' coefficients are joined in order.
     """
-    red = _merge([_reduce_block(plan, master_seed, stream, b,
-                                min(b + plan.block, hi))
-                  for b in range(lo, hi, plan.block)])
-    forms = plan.forms(red)
-    return ({sp.label: plan.assemble(sp, forms, red["y0"])
-             for sp in plan.specs}, red["amp"])
+    ws = _Workspace(plan, min(plan.block, hi - lo))
+    parts = []
+    for b in range(lo, hi, plan.block):
+        y0, amp, red = _reduce_block(plan, master_seed, stream, b,
+                                     min(b + plan.block, hi), ws)
+        forms = plan.forms(red)
+        parts.append(({sp.label: plan.assemble(sp, forms, y0)
+                       for sp in plan.specs}, amp))
+    return _merge(parts)
 
 
 def _statistic(coeffs, b):
@@ -220,17 +251,11 @@ def _statistic(coeffs, b):
 
 
 def _merge(parts):
-    """Concatenate per-range results in order; tuples element by element."""
-    merged = {}
-    for key, first in parts[0].items():
-        if isinstance(first, tuple):
-            merged[key] = tuple(
-                None if x is None
-                else np.concatenate([p[key][j] for p in parts])
-                for j, x in enumerate(first))
-        else:
-            merged[key] = np.concatenate([p[key] for p in parts])
-    return merged
+    """Join per-range ({label: (alpha, beta, norm)}, amp) results in order."""
+    coeffs = {label: tuple(np.concatenate(x)
+                           for x in zip(*(c[label] for c, _ in parts)))
+              for label in parts[0][0]}
+    return coeffs, np.concatenate([amp for _, amp in parts])
 
 
 def _run_batches(plan, cfg, stream):
@@ -243,8 +268,7 @@ def _run_batches(plan, cfg, stream):
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
             parts = list(ex.map(_eval_chunk, *zip(*args)))
-    return (_merge([c for c, _ in parts]),
-            np.concatenate([a for _, a in parts]))
+    return _merge(parts)
 
 
 def h0_statistics(scenario, specs, trials, master_seed, stream=0, workers=1,
@@ -272,6 +296,11 @@ def threshold_from_stats(stats, pfa):
     No interpolation: the threshold is an actual simulated value. Also
     reports the achieved exceedance rate with a Wilson interval and an
     order-statistic confidence interval on tau itself.
+
+    achieved_pfa and pfa_ci are in-sample: they count exceedances of tau
+    on the statistics it was taken from, so without ties achieved_pfa is
+    (n - rank) / n, about pfa, by construction. They are no independent
+    check of tau's false-alarm rate; that needs held-out h0 trials.
     """
     stats = np.asarray(stats, dtype=float)
     n = stats.shape[0]
