@@ -33,10 +33,16 @@ The route follows from the detector set alone:
   S + lam I per distinct fixed loading (0 for scm-amf and the dl-scm-beta
   normalizer), shared by all kinds at that loading. S sits in the corner
   of the bordered buffer, and each loading rewrites only its diagonal.
+  LAPACK zpotrf factors a copy of the block in place, one matrix at a
+  time, in a buffer of Fortran-ordered matrices (Plan.factor_buffer)
+  that every loading and persym-amf overwrite: the call of
+  np.linalg.cholesky, so the same bits, without its copies in and out.
   cfar-dl-amf's mu0_hat comes from a triangular inverse of the factor.
 
 persym-amf factors the persymmetrized SCM by Cholesky on both routes, in
-a bordered buffer of its own. Unloaded forms raise NumericalError on a
+a bordered buffer of its own. The per-matrix LAPACK loops of both routes
+hold SciPy's BLAS pool at one thread (blas.one_scipy_thread), so it does
+not fight NumPy's pool. Unloaded forms raise NumericalError on a
 numerically singular SCM. Complex products of per-trial arrays are
 explicit np.multiply calls: with `*`, NumPy may reuse a temporary of 256
 KiB or more as the output with the operands swapped, which rounds
@@ -49,9 +55,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import ztrtri
+from scipy.linalg.lapack import zpotrf, ztrtri
 
-from . import estimators, optimizer, rmt
+from . import blas, estimators, optimizer, rmt
 from .errors import ConfigError, NumericalError
 from .scenario import as_spectrum, steering_entries
 
@@ -174,6 +180,8 @@ class Plan:
         self.need_opt = "adaptive-opt" in sources
         self.need_persym = "persym" in sources
         self.spectral = self.need_el or self.need_opt
+        self.need_factor = self.need_persym or (self.need_scm
+                                                and not self.spectral)
         self.log_zeta = (estimators.log_zeta_median(self.N, K)
                          if self.need_el else None)
 
@@ -225,12 +233,20 @@ class Plan:
         A[:, N, N] = A[:, N + 1, N + 1] = _BORDER
         return A
 
-    def reduce(self, A, y0, persym=None):
+    def factor_buffer(self, B):
+        """(B, N+2, N+2) buffer of Fortran-ordered matrices, in which
+        _cholesky_forms factors a bordered buffer in place."""
+        n = self.N + 2
+        return np.empty((B, n, n), dtype=complex).transpose(0, 2, 1)
+
+    def reduce(self, A, y0, persym=None, F=None):
         """What the statistics need from a block of trials.
 
         A is a bordered buffer of y0 (B, N) holding the trials' SCMs S in
         its corner; the Cholesky route rewrites their diagonal. persym, a
-        bordered buffer for persym-amf, is reused when given. Returns
+        bordered buffer for persym-amf, and F, a factor_buffer that every
+        factorization of the block overwrites, are reused when given.
+        Returns
         persym-amf's forms under "persym" when planned and, per route, the
         spectral rows l, w2 = |V^H s|^2 and wz = conj(V^H s) (V^H y0) or
         the forms of each fixed loading, keyed by the loading.
@@ -238,9 +254,11 @@ class Plan:
         N = self.N
         S = A[:, :N, :N]
         out = {}
+        if self.need_factor and F is None:
+            F = self.factor_buffer(A.shape[0])
         if self.need_persym:
             # first, since the loadings below rewrite the diagonal of S
-            out["persym"] = _persym_forms(S, y0, self, persym)
+            out["persym"] = _persym_forms(S, y0, self, persym, F)
         if self.spectral:
             out.update(estimators._spectral_rows(S, self.s, y0))
             return out
@@ -248,7 +266,7 @@ class Plan:
         diag_S = S[:, diag, diag]
         for lam in self.fixed_lams:
             S[:, diag, diag] = diag_S + lam
-            out[lam] = _cholesky_forms(A, lam, self, lam in self.mu0_lams)
+            out[lam] = _cholesky_forms(A, lam, self, lam in self.mu0_lams, F)
         return out
 
     def forms(self, red):
@@ -307,7 +325,8 @@ class Plan:
         return alpha, beta, beta  # beta, or q for np
 
 
-def _cholesky_forms(A, lam, plan, with_mu0):
+@blas.one_scipy_thread()
+def _cholesky_forms(A, lam, plan, with_mu0, F):
     """(alpha, beta, mu0h) at loading lam from one Cholesky factorization.
 
     A is a bordered buffer whose top-left block holds M + lam I. Its factor
@@ -318,23 +337,33 @@ def _cholesky_forms(A, lam, plan, with_mu0):
     positive; it does not touch L or W. mu0h needs
     tr((M + lam I)^{-1}) = ||L^{-1}||_F^2 and
     s^H (M + lam I)^{-1} M (M + lam I)^{-1} s = beta - lam ||u^H L^{-1}||^2.
+
+    zpotrf factors a copy of A in F (a Plan.factor_buffer of A's trials)
+    in place: the call np.linalg.cholesky makes, without its copies in
+    and out. clean=1 zeroes the upper triangle, which
+    _inverse_norms sums over, as NumPy does; the border rows are read
+    through a C-ordered copy, contiguous as in NumPy's C-ordered factor.
+    SciPy's BLAS pool is held at one thread throughout (see the blas
+    module).
     """
     N = plan.N
-    try:
-        F = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"Cholesky factorization failed at loading {lam:g}: "
-            "sample covariance is not positive definite") from exc
+    np.copyto(F, A)
+    for b in range(F.shape[0]):
+        # lower=1, clean=1, overwrite_a=1, positional: f2py's keyword
+        # parsing takes up to 1 us a call, a whole factorization at N=4
+        if zpotrf(F[b], 1, 1, 1)[1]:
+            raise NumericalError(
+                f"Cholesky factorization failed at loading {lam:g}: "
+                "sample covariance is not positive definite")
     L = F[:, :N, :N]
     if lam == 0.0:
         # lambda_min <= min L_ii^2 and lambda_max >= max M_ii
         estimators.guard_invertible(
             np.diagonal(L, axis1=1, axis2=2).real.min(1) ** 2,
             np.diagonal(A, axis1=1, axis2=2)[:, :N].real.max(1))
-    uh = F[:, N, :N]
+    uh, vh = np.ascontiguousarray(F[:, N:, :N]).transpose(1, 0, 2)
     # np.multiply, not `*`: see the module docstring
-    alpha = np.multiply(uh, np.conj(F[:, N + 1, :N])).sum(1)
+    alpha = np.multiply(uh, np.conj(vh)).sum(1)
     beta = (np.abs(uh) ** 2).sum(1)
     mu0h = None
     if with_mu0:
@@ -365,10 +394,10 @@ def _inverse_norms(L, uh):
     return tr, xn
 
 
-def _persym_forms(S, y0, plan, out=None):
+def _persym_forms(S, y0, plan, out, F):
     """persym-amf's (alpha, beta, None) from the persymmetrized SCM
     0.5 (S + J S^T J), written into a bordered buffer of its own (out, as
-    in Plan.bordered).
+    in Plan.bordered) and factored in F (as in _cholesky_forms).
 
     J S^T J reads the lower triangle of S where J conj(S) J reads the upper
     one; the two agree on a Hermitian S.
@@ -378,7 +407,7 @@ def _persym_forms(S, y0, plan, out=None):
     blk = A[:, :N, :N]
     np.add(S, S.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
     blk *= 0.5
-    return _cholesky_forms(A, 0.0, plan, False)
+    return _cholesky_forms(A, 0.0, plan, False, F)
 
 
 def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dstev, zhetrd, zhetrd_lwork, zunmqr
 
+from . import blas
 from .errors import ConfigError, NumericalError
 from .rmt import _loadings, _newton_rows, _shaped
 from .scenario import EIG_FLOOR_REL, steering_entries
@@ -58,6 +59,7 @@ def _check_scm(scm, N):
     return S
 
 
+@blas.one_scipy_thread()
 def _spectral_rows(S, s, y0):
     """The rows l, w2 = |V^H s|^2 and wz = conj(V^H s) (V^H y0) of a block
     of SCMs S (B, N, N) with primary vectors y0 (B, N).
@@ -66,7 +68,8 @@ def _spectral_rows(S, s, y0):
     to a real tridiagonal T = Q^H conj(S) Q and dstev gives T = U diag(l)
     U^T, so S has eigenvectors V = conj(Q) U and V^H x is the conjugate of
     U^T Q^H conj(x). zunmqr applies Q^H to conj(s) and conj(y0), as LAPACK's
-    zunmtr would, and one batched product applies U^T.
+    zunmtr would, and one batched product applies U^T. SciPy's BLAS pool is
+    held at one thread throughout (see the blas module).
     """
     B, N = S.shape[:2]
     lwork = int(zhetrd_lwork(N, lower=1)[0].real)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import detectors
+from . import blas, detectors
 from .detectors import NP, DetectorSpec
 from .errors import ConfigError, NumericalError
 from .optimizer import OptConfig, lambda_opt
@@ -58,6 +58,8 @@ DEFAULT_CHUNK = 4096
 _BLOCK = 256
 _BLOCK_BYTES = 2 ** 21
 _SQRT2 = np.sqrt(2)
+# NumPy divides a complex array by a real x as a multiplication by 1 / x
+_INV_SQRT2 = 1.0 / _SQRT2
 
 
 def db_to_linear(db):
@@ -157,14 +159,15 @@ class _Workspace:
 
     def __init__(self, plan, B):
         N, M = plan.N, plan.K + 1
-        self.raw = np.empty((B, 2 * N * M))
-        self.amp = np.empty((B, 2))
+        # each trial's snapshot normals, then its two amplitude normals
+        self.raw = np.empty((B, 2 * N * M + 2))
         self.Z = np.empty((B, N, M), dtype=complex)
         self.colored = np.empty((B, N, M), dtype=complex)
         self.y0 = np.empty((B, N), dtype=complex)
         bordered = np.zeros((B, N + 2, N + 2), dtype=complex)
         self.A = bordered if plan.need_scm else None
         self.persym = bordered.copy() if plan.need_persym else None
+        self.F = plan.factor_buffer(B) if plan.need_factor else None
 
 
 def _generate(plan, master_seed, stream, lo, hi, ws):
@@ -183,22 +186,20 @@ def _generate(plan, master_seed, stream, lo, hi, ws):
     gen = np.random.Generator(bitgen)
     ctr = np.zeros(4, np.uint64)
     buf = np.zeros(4, np.uint64)
-    raw, amp = ws.raw[:B], ws.amp[:B]
+    raw = ws.raw[:B]
     for i in range(B):
         _reset_state(bitgen, ctr, key, buf, lo + i)
         gen.standard_normal(out=raw[i])
-        gen.standard_normal(out=amp[i])
     # reals then imaginaries per trial; equal bit for bit to
     # (re + 1j * im) / sqrt(2), without the complex temporaries
     Z = ws.Z[:B]
-    Z.real = raw[:, :nm].reshape(B, N, M)
-    Z.imag = raw[:, nm:].reshape(B, N, M)
-    Z /= _SQRT2
+    np.multiply(raw[:, :nm].reshape(B, N, M), _INV_SQRT2, out=Z.real)
+    np.multiply(raw[:, nm:2 * nm].reshape(B, N, M), _INV_SQRT2, out=Z.imag)
     colored = np.matmul(plan.sqrtR, Z, out=ws.colored[:B])
     # y0 contiguous, so np's alpha = y0 @ t_conj keeps its BLAS layout
     y0 = ws.y0[:B]
     y0[...] = colored[:, :, 0]
-    return y0, colored[:, :, 1:], (amp[:, 0] + 1j * amp[:, 1]) / _SQRT2
+    return y0, colored[:, :, 1:], (raw[:, -2] + 1j * raw[:, -1]) / _SQRT2
 
 
 def _reduce_block(plan, master_seed, stream, lo, hi, ws):
@@ -215,9 +216,12 @@ def _reduce_block(plan, master_seed, stream, lo, hi, ws):
     np.conjugate(Y, out=Yc)
     S = A[:, :N, :N]
     np.matmul(Y, Yc.transpose(0, 2, 1), out=S)
-    S /= K
+    # S / K bit for bit, on the real view
+    Sr = S.view(float)
+    np.multiply(Sr, 1.0 / K, out=Sr)
     persym = None if ws.persym is None else ws.persym[:B]
-    return y0, amp, plan.reduce(A, y0, persym)
+    F = None if ws.F is None else ws.F[:B]
+    return y0, amp, plan.reduce(A, y0, persym, F)
 
 
 def _eval_chunk(plan, master_seed, stream, lo, hi):
@@ -266,7 +270,9 @@ def _run_batches(plan, cfg, stream):
     if cfg.workers <= 1 or len(args) == 1:
         parts = [_eval_chunk(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+        # one BLAS thread per worker: the workers already fill the CPUs
+        with ProcessPoolExecutor(max_workers=cfg.workers,
+                                 initializer=blas.pin_one_thread) as ex:
             parts = list(ex.map(_eval_chunk, *zip(*args)))
     return _merge(parts)
 

@@ -9,6 +9,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg.lapack import ztrtri
 from scipy.optimize import brentq
 
 from dlamf import optimizer
@@ -243,3 +244,24 @@ def statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     if kind in ("cfar-dl-scmf", "opt-cfar-dl-scmf"):
         return stat_cfar_dl_scmf(scm, R, s, y0, lam, K)
     return stat_cfar_dl_amf(scm, s, y0, lam, K)
+
+
+def cholesky_forms(A, lam, N, K):
+    """(alpha, beta, mu0h) of a bordered block A (B, N+2, N+2) whose corner
+    holds S + lam I, through np.linalg.cholesky and a triangular inverse
+    per matrix: the arithmetic of detectors._cholesky_forms, with NumPy's
+    copies in and out of Fortran order, so the two agree bit for bit."""
+    F = np.linalg.cholesky(A)
+    L, uh, vh = F[:, :N, :N], F[:, N, :N], F[:, N + 1, :N]
+    alpha = np.multiply(uh, np.conj(vh)).sum(1)
+    beta = (np.abs(uh) ** 2).sum(1)
+    tr = np.empty(A.shape[0])
+    xn = np.empty(A.shape[0])
+    for b in range(A.shape[0]):
+        Linv, info = ztrtri(L[b], lower=1)
+        assert info == 0
+        x = uh[b] @ Linv
+        tr[b] = np.vdot(Linv, Linv).real
+        xn[b] = np.vdot(x, x).real
+    d1 = 1.0 - N / K + lam * tr / K
+    return alpha, beta, (beta - lam * xn) / d1 ** 2

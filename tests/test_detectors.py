@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
+from scipy.linalg.lapack import dstev, zpotrf, ztrtri
 
-from dlamf import detectors, estimators, optimizer, rmt
+from dlamf import blas, detectors, estimators, optimizer, rmt
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
 from dlamf.scenario import (HermitianSpectrum, Swerling0, sample_dataset,
@@ -212,6 +213,105 @@ class TestStatistics:
             v = detectors.evaluate_statistic(
                 spec, y0, s, K, scm=None if kind == "np" else S, R=R_arg)
             assert np.isfinite(v) and v > 0.0, kind
+
+
+def _bordered_block(N, B, seed, lam=1.5):
+    """A cfar-dl-amf Plan at K = 2N and a bordered block of B random SCMs
+    whose diagonal carries the loading lam."""
+    K = 2 * N
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((B, N, K)) + 1j * rng.standard_normal((B, N, K))
+    y0 = rng.standard_normal((B, N)) + 1j * rng.standard_normal((B, N))
+    s = np.exp(1j * np.pi * np.sin(0.3) * np.arange(N))
+    plan = detectors.Plan([DetectorSpec(detectors.CFAR_DL_AMF, lam)], s, K)
+    A = plan.bordered(y0)
+    A[:, :N, :N] = Y @ Y.conj().transpose(0, 2, 1) / K
+    A[:, range(N), range(N)] += lam
+    return plan, A
+
+
+def _factor_buffer(plan, B):
+    # stale entries must not reach the forms
+    F = plan.factor_buffer(B)
+    F[...] = np.nan
+    return F
+
+
+class TestCholeskyForms:
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    @pytest.mark.parametrize("N", [1, 8, 48])
+    def test_matches_numpy_cholesky(self, N, lam):
+        # the in-place zpotrf is the call np.linalg.cholesky makes
+        B = 9
+        plan, A = _bordered_block(N, B, seed=N, lam=lam)
+        ref = oracles.cholesky_forms(A.copy(), lam, N, plan.K)
+        got = detectors._cholesky_forms(A, lam, plan, True,
+                                        _factor_buffer(plan, B))
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
+
+    def test_not_positive_definite(self):
+        plan, A = _bordered_block(8, 3, seed=1)
+        A[1, 4, 4] = -1.0
+        with pytest.raises(NumericalError, match="not positive definite"):
+            detectors._cholesky_forms(A, 1.5, plan, True,
+                                      plan.factor_buffer(3))
+
+
+class TestOneBlasThread:
+    """The per-matrix LAPACK loops run with SciPy's pool at one thread and
+    give it back its count afterwards, also when they raise."""
+
+    @pytest.fixture
+    def scipy_threads(self):
+        if "scipy" not in blas.pools():
+            pytest.skip("SciPy's OpenBLAS thread-count symbols not found")
+        get, set_threads = blas.pools()["scipy"]
+        before = get()
+        set_threads(2)
+        yield get
+        set_threads(before)
+
+    @staticmethod
+    def _spy(fn, get, seen, info=None):
+        def call(*args, **kwargs):
+            seen.append(get())
+            out = fn(*args, **kwargs)
+            return out if info is None else out[:-1] + (info,)
+        return call
+
+    def test_cholesky_loop(self, scipy_threads, monkeypatch):
+        assert scipy_threads() == 2
+        seen = []
+        for name, fn in (("zpotrf", zpotrf), ("ztrtri", ztrtri)):
+            monkeypatch.setattr(detectors, name,
+                                self._spy(fn, scipy_threads, seen))
+        plan, A = _bordered_block(8, 3, seed=2)
+        detectors._cholesky_forms(A, 1.5, plan, True, plan.factor_buffer(3))
+        assert seen == [1] * 6
+        assert scipy_threads() == 2
+        A[1, 4, 4] = -1.0
+        with pytest.raises(NumericalError):
+            detectors._cholesky_forms(A, 1.5, plan, True,
+                                      plan.factor_buffer(3))
+        assert seen[6:] == [1, 1]
+        assert scipy_threads() == 2
+
+    def test_spectral_loop(self, scipy_threads, monkeypatch):
+        seen = []
+        _, A = _bordered_block(8, 3, seed=3)
+        S, y0, s = A[:, :8, :8], np.conj(A[:, 9, :8]), np.conj(A[0, 8, :8])
+        monkeypatch.setattr(estimators, "dstev",
+                            self._spy(dstev, scipy_threads, seen))
+        estimators._spectral_rows(S, s, y0)
+        assert seen == [1] * 3
+        assert scipy_threads() == 2
+        monkeypatch.setattr(estimators, "dstev",
+                            self._spy(dstev, scipy_threads, seen, info=1))
+        with pytest.raises(NumericalError):
+            estimators._spectral_rows(S, s, y0)
+        assert seen[3:] == [1]
+        assert scipy_threads() == 2
 
 
 class TestPersymmetry:

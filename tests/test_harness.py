@@ -1,4 +1,7 @@
+import json
 import math
+import multiprocessing
+import os
 import tracemalloc
 import typing
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlamf import detectors, estimators, harness, optimizer, theory
+from dlamf import blas, detectors, estimators, harness, optimizer, theory
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
 from dlamf.estimators import _loaded_rows, _spectral_rows
@@ -603,6 +606,40 @@ class TestDeterminism:
         a = h0_statistics(scen_n24_k48, spec, 50, master_seed=5, stream=0)
         b = h0_statistics(scen_n24_k48, spec, 50, master_seed=5, stream=1)
         assert not np.allclose(a["np"], b["np"])
+
+
+_eval_chunk_in_parent = harness._eval_chunk
+
+
+def _thread_counts():
+    return {name: get() for name, (get, _) in blas.pools().items()}
+
+
+def _eval_chunk_reporting(*args):
+    """_eval_chunk that first writes its process's BLAS thread counts to a
+    file named by its pid in $DLAMF_TEST_POOL_DIR."""
+    path = os.path.join(os.environ["DLAMF_TEST_POOL_DIR"], str(os.getpid()))
+    with open(path, "w") as f:
+        json.dump(_thread_counts(), f)
+    return _eval_chunk_in_parent(*args)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched _eval_chunk only when "
+                    "forked")
+def test_workers_run_one_blas_thread(scen_n24_k48, tmp_path, monkeypatch):
+    if set(blas.pools()) != {"scipy", "numpy"}:
+        pytest.skip("OpenBLAS thread-count symbols not found")
+    before = _thread_counts()
+    monkeypatch.setenv("DLAMF_TEST_POOL_DIR", str(tmp_path))
+    monkeypatch.setattr(harness, "_eval_chunk", _eval_chunk_reporting)
+    h0_statistics(scen_n24_k48, _fixed_specs(), 400, master_seed=5,
+                  workers=2, chunk=50)
+    reports = [json.loads(p.read_text()) for p in tmp_path.iterdir()]
+    assert reports
+    for counts in reports:
+        assert counts == {"scipy": 1, "numpy": 1}
+    assert _thread_counts() == before
 
 
 class TestChunkMemory:
