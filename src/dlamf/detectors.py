@@ -14,39 +14,40 @@ mu0 of rmt, the plug-in mu0_hat, or q = s^H R^{-1} s for np.
 
 A Plan reads the table for a set of detectors: the loadings fixed for the
 run, the per-trial searches, the oracle constants and the route by which
-sample covariances S are reduced. Plan.reduce takes a block of trials' S
-to what the statistics need, Plan.forms turns that into (alpha, beta,
-mu0_hat) at every loading, and Plan.assemble picks each kind's pieces.
-The trial engine (harness) runs these on blocks it draws,
-evaluate_statistic on a block of one trial, so the two agree bit for bit.
-Oracle kinds see the true covariance, adaptive kinds only S.
+sample covariances S are reduced. Plan.forms takes a block of trials' S,
+in the corner of a bordered buffer, to (alpha, beta, mu0_hat) at every
+loading in one pass, and Plan.assemble picks each kind's pieces. The
+trial engine (harness) runs these on blocks it draws, evaluate_statistic
+on a block of one trial, so the two agree bit for bit. Oracle kinds see
+the true covariance, adaptive kinds only S.
 
 The route follows from the detector set alone:
 
 - spectral, when a kind picks its loading per trial (el-amf, cfar-el-amf,
-  opt-cfar-dl-amf): reduce keeps the rows l, |V^H s|^2 and
-  conj(V^H s) (V^H y0) of estimators._spectral_rows (zhetrd, dstev and
-  zunmqr; the package's one decomposition of a sample covariance, which
-  the scalar estimators run too), and forms runs the EL and opt searches
-  on them;
+  opt-cfar-dl-amf): the rows l, |V^H s|^2 and conj(V^H s) (V^H y0) of
+  estimators._spectral_rows (zhetrd, dstev and zunmqr; the package's one
+  decomposition of a sample covariance, which the scalar estimators run
+  too) feed the EL and opt searches, and one estimators._loaded_rows call
+  forms every loading of the set as a column of a (B, m) array;
 - Cholesky, for every other set: one bordered Cholesky factorization of
   S + lam I per distinct fixed loading (0 for scm-amf and the dl-scm-beta
-  normalizer), shared by all kinds at that loading. S sits in the corner
-  of the bordered buffer, and each loading rewrites only its diagonal.
-  LAPACK zpotrf factors a copy of the block in place, one matrix at a
-  time, in a buffer of Fortran-ordered matrices (Plan.factor_buffer)
-  that every loading and persym-amf overwrite: the call of
-  np.linalg.cholesky, so the same bits, without its copies in and out.
-  cfar-dl-amf's mu0_hat comes from a triangular inverse of the factor.
+  normalizer), shared by all kinds at that loading. Each loading rewrites
+  only S's diagonal, restored after the last. LAPACK zpotrf factors a
+  copy of the block in place, one matrix at a time, in a buffer of
+  Fortran-ordered matrices (Plan.factor_buffer) that every factorization
+  overwrites: the call of np.linalg.cholesky, so the same bits, without
+  its copies in and out. cfar-dl-amf's mu0_hat comes from a triangular
+  inverse of the factor.
 
-persym-amf factors the persymmetrized SCM by Cholesky on both routes, in
-a bordered buffer of its own. The per-matrix LAPACK loops of both routes
-hold SciPy's BLAS pool at one thread (blas.one_scipy_thread), so it does
-not fight NumPy's pool. Unloaded forms raise NumericalError on a
-numerically singular SCM. Complex products of per-trial arrays are
-explicit np.multiply calls: with `*`, NumPy may reuse a temporary of 256
-KiB or more as the output with the operands swapped, which rounds
-differently and would tie the bits to the number of trials in an array.
+persym-amf comes last on both routes: the persymmetrized SCM overwrites S
+in the bordered buffer and is factored there by Cholesky. The per-matrix
+LAPACK loops of both routes hold SciPy's BLAS pool at one thread
+(blas.one_scipy_thread), so it does not fight NumPy's pool. Unloaded
+forms raise NumericalError on a numerically singular SCM. Complex
+products of per-trial arrays are explicit np.multiply calls: with `*`,
+NumPy may reuse a temporary of 256 KiB or more as the output with the
+operands swapped, which rounds differently and would tie the bits to the
+number of trials in an array.
 """
 
 from __future__ import annotations
@@ -239,62 +240,58 @@ class Plan:
         n = self.N + 2
         return np.empty((B, n, n), dtype=complex).transpose(0, 2, 1)
 
-    def reduce(self, A, y0, persym=None, F=None):
-        """What the statistics need from a block of trials.
+    def forms(self, A, y0, F=None):
+        """(alpha, beta, mu0_hat or None) of a block of trials at every
+        loading of the set, keyed by its fixed value, "el", "adaptive-opt"
+        or "persym".
 
         A is a bordered buffer of y0 (B, N) holding the trials' SCMs S in
-        its corner; the Cholesky route rewrites their diagonal. persym, a
-        bordered buffer for persym-amf, and F, a factor_buffer that every
-        factorization of the block overwrites, are reused when given.
-        Returns
-        persym-amf's forms under "persym" when planned and, per route, the
-        spectral rows l, w2 = |V^H s|^2 and wz = conj(V^H s) (V^H y0) or
-        the forms of each fixed loading, keyed by the loading.
+        its corner; F, a factor_buffer that every factorization of the
+        block overwrites, is reused when given. On the spectral route the
+        EL and opt searches run over the block's rows, each row on its
+        own, and one row kernel call forms every loading as a column of a
+        (B, m) array; unloaded rows must be invertible. Either route leaves
+        S as it found it, and persym-amf then writes the persymmetrized SCM
+        into S's place and factors it there.
         """
         N = self.N
         S = A[:, :N, :N]
-        out = {}
         if self.need_factor and F is None:
             F = self.factor_buffer(A.shape[0])
-        if self.need_persym:
-            # first, since the loadings below rewrite the diagonal of S
-            out["persym"] = _persym_forms(S, y0, self, persym, F)
         if self.spectral:
-            out.update(estimators._spectral_rows(S, self.s, y0))
-            return out
-        diag = np.arange(N)
-        diag_S = S[:, diag, diag]
-        for lam in self.fixed_lams:
-            S[:, diag, diag] = diag_S + lam
-            out[lam] = _cholesky_forms(A, lam, self, lam in self.mu0_lams, F)
-        return out
-
-    def forms(self, red):
-        """(alpha, beta, mu0_hat or None) at every loading of the set, from
-        reduce's output for one block. On the spectral route the EL and opt
-        searches run here over the block's rows, each row on its own, and
-        every loading but persym's is added under its fixed value, "el" or
-        "adaptive-opt"; unloaded rows must be invertible.
-        """
-        if not self.spectral:
-            return red
-        l, w2, wz = red["l"], red["w2"], red["wz"]
-        lams = {lam: np.full(l.shape[0], lam) for lam in self.fixed_lams}
-        if self.need_el:
-            lams["el"] = estimators._el_rows(l, self.log_zeta)
-        if self.need_opt:
-            lams["adaptive-opt"] = optimizer.lambda_opt_rows(
-                l, w2, self.K, self.opt_config)[0]
-        out = dict(red)
-        for key, lam in lams.items():
-            unloaded = lam == 0.0
+            rows = estimators._spectral_rows(S, self.s, y0)
+            l, w2 = rows["l"], rows["w2"]
+            cols = {lam: np.full(l.shape[0], lam) for lam in self.fixed_lams}
+            if self.need_el:
+                cols["el"] = estimators._el_rows(l, self.log_zeta)
+            if self.need_opt:
+                cols["adaptive-opt"] = optimizer.lambda_opt_rows(
+                    l, w2, self.K, self.opt_config)[0]
+            lams = np.stack(list(cols.values()), axis=1)
+            unloaded = (lams == 0.0).any(1)
             if unloaded.any():
                 estimators.guard_invertible(l[unloaded, 0], l[unloaded, -1])
             d1, beta, num, alpha = estimators._loaded_rows(
-                l, w2, lam[:, None], self.K, wz)
-            mu0h = (num[:, 0] / (d1[:, 0] * d1[:, 0])
-                    if key in self.mu0_lams else None)
-            out[key] = alpha[:, 0], beta[:, 0], mu0h
+                l, w2, lams, self.K, rows["wz"])
+            out = {key: (alpha[:, j], beta[:, j],
+                         num[:, j] / (d1[:, j] * d1[:, j])
+                         if key in self.mu0_lams else None)
+                   for j, key in enumerate(cols)}
+        else:
+            out = {}
+            diag = np.arange(N)
+            diag_S = S[:, diag, diag]
+            for lam in self.fixed_lams:
+                S[:, diag, diag] = diag_S + lam
+                out[lam] = _cholesky_forms(A, lam, self,
+                                           lam in self.mu0_lams, F)
+            S[:, diag, diag] = diag_S
+        if self.need_persym:
+            # 0.5 (S + J S^T J): J S^T J reads the lower triangle of S where
+            # J conj(S) J reads the upper one; the two agree on a Hermitian S
+            np.add(S, S.transpose(0, 2, 1)[:, ::-1, ::-1], out=S)
+            S *= 0.5
+            out["persym"] = _cholesky_forms(A, 0.0, self, False, F)
         return out
 
     def assemble(self, spec, forms, y0):
@@ -394,25 +391,9 @@ def _inverse_norms(L, uh):
     return tr, xn
 
 
-def _persym_forms(S, y0, plan, out, F):
-    """persym-amf's (alpha, beta, None) from the persymmetrized SCM
-    0.5 (S + J S^T J), written into a bordered buffer of its own (out, as
-    in Plan.bordered) and factored in F (as in _cholesky_forms).
-
-    J S^T J reads the lower triangle of S where J conj(S) J reads the upper
-    one; the two agree on a Hermitian S.
-    """
-    N = plan.N
-    A = plan.bordered(y0, out)
-    blk = A[:, :N, :N]
-    np.add(S, S.transpose(0, 2, 1)[:, ::-1, ::-1], out=blk)
-    blk *= 0.5
-    return _cholesky_forms(A, 0.0, plan, False, F)
-
-
 def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     """One trial's statistic for a DetectorSpec: the trial engine's
-    Plan.reduce, forms and assemble on a block of one trial.
+    Plan.forms and assemble on a block of one trial.
 
     scm, the N x N sample covariance (scenario.scm), is required for all
     kinds but np; R is required for oracle kinds and must be omitted for
@@ -438,6 +419,6 @@ def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     if plan.need_scm:
         A = plan.bordered(y0)
         A[0, :N, :N] = estimators._check_scm(scm, N)
-        forms = plan.forms(plan.reduce(A, y0))
+        forms = plan.forms(A, y0)
     alpha, _, norm = plan.assemble(spec, forms, y0)
     return float(np.abs(alpha[0]) ** 2 / norm[0])

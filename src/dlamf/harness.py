@@ -19,15 +19,15 @@ cached coefficients instead of re-simulating.
 Within a chunk, trials are drawn, colored, reduced and turned into
 statistics a block at a time: at most _BLOCK trials, and fewer when their
 snapshots would pass _BLOCK_BYTES. The chunk allocates one _Workspace of
-block buffers (the draws, the colored snapshots and detectors.Plan
-bordered buffers) and every block reuses it, a partial block through
-leading views. S goes straight into the corner of the bordered buffer,
-Plan.reduce keeps a few numbers per trial (see the detectors module for its
-two routes), Plan.forms runs the per-trial loading searches on the block's
-rows and Plan.assemble gives each kind's (alpha, beta, norm). Only these
-and the amplitudes outlive a block, so a chunk of B trials holds one
-block's buffers plus O(B) numbers at any array size. evaluate_statistic
-runs the same steps on a block of one trial.
+block buffers (the draws, the colored snapshots, a detectors.Plan
+bordered buffer and a factor buffer) and every block reuses it, a partial
+block through leading views. S goes straight into the corner of the
+bordered buffer, one Plan.forms call takes it to (alpha, beta, mu0_hat) at
+every loading (see the detectors module for its two routes) and
+Plan.assemble gives each kind's (alpha, beta, norm). Only these and the
+amplitudes outlive a block, so a chunk of B trials holds one block's
+buffers plus O(B) numbers at any array size. evaluate_statistic runs the
+same two steps on a block of one trial.
 
 Reproducibility: for a given (seed, stream, trial, detector set) every
 statistic is bit-identical for every worker count, chunk size and block
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import blas, detectors
 from .detectors import NP, DetectorSpec
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_finite
 from .optimizer import OptConfig, lambda_opt
 from .results import Curve, Histogram
 from .scenario import philox_key
@@ -153,9 +153,10 @@ def _reset_state(bitgen, ctr, key, buf, trial):
 
 class _Workspace:
     """Block buffers of one chunk, allocated once and reused by each of its
-    blocks of at most B trials; a partial block takes leading views. They
-    belong to the chunk, not the plan, which worker processes receive
-    pickled."""
+    blocks of at most B trials; a partial block takes leading views. A is
+    the bordered buffer that Plan.forms works in, persym-amf included, and
+    F its factor buffer. They belong to the chunk, not the plan, which
+    worker processes receive pickled."""
 
     def __init__(self, plan, B):
         N, M = plan.N, plan.K + 1
@@ -164,9 +165,8 @@ class _Workspace:
         self.Z = np.empty((B, N, M), dtype=complex)
         self.colored = np.empty((B, N, M), dtype=complex)
         self.y0 = np.empty((B, N), dtype=complex)
-        bordered = np.zeros((B, N + 2, N + 2), dtype=complex)
-        self.A = bordered if plan.need_scm else None
-        self.persym = bordered.copy() if plan.need_persym else None
+        self.A = (np.zeros((B, N + 2, N + 2), dtype=complex)
+                  if plan.need_scm else None)
         self.F = plan.factor_buffer(B) if plan.need_factor else None
 
 
@@ -204,8 +204,8 @@ def _generate(plan, master_seed, stream, lo, hi, ws):
 
 def _reduce_block(plan, master_seed, stream, lo, hi, ws):
     """Draw trials [lo, hi) and form their SCMs in the bordered buffer of
-    the _Workspace ws; returns y0, the unit amplitudes and what
-    plan.reduce keeps."""
+    the _Workspace ws; returns y0, the unit amplitudes and plan.forms of
+    the block."""
     y0, Y, amp = _generate(plan, master_seed, stream, lo, hi, ws)
     if not plan.need_scm:
         return y0, amp, {}
@@ -219,9 +219,8 @@ def _reduce_block(plan, master_seed, stream, lo, hi, ws):
     # S / K bit for bit, on the real view
     Sr = S.view(float)
     np.multiply(Sr, 1.0 / K, out=Sr)
-    persym = None if ws.persym is None else ws.persym[:B]
     F = None if ws.F is None else ws.F[:B]
-    return y0, amp, plan.reduce(A, y0, persym, F)
+    return y0, amp, plan.forms(A, y0, F)
 
 
 def _eval_chunk(plan, master_seed, stream, lo, hi):
@@ -232,16 +231,16 @@ def _eval_chunk(plan, master_seed, stream, lo, hi):
     per-trial normalizer and amp the frozen unit amplitudes. The h0
     statistic is _statistic at b = 0, so the same pass serves h0 and h1.
 
-    Each block of trials is drawn, reduced, put through plan.forms (the
-    loading searches and the spectral forms) and assembled in the chunk's
-    one workspace; the blocks' coefficients are joined in order.
+    Each block of trials is drawn, taken through plan.forms (the
+    reduction, the loading searches and the forms at every loading) and
+    assembled in the chunk's one workspace; the blocks' coefficients are
+    joined in order.
     """
     ws = _Workspace(plan, min(plan.block, hi - lo))
     parts = []
     for b in range(lo, hi, plan.block):
-        y0, amp, red = _reduce_block(plan, master_seed, stream, b,
-                                     min(b + plan.block, hi), ws)
-        forms = plan.forms(red)
+        y0, amp, forms = _reduce_block(plan, master_seed, stream, b,
+                                       min(b + plan.block, hi), ws)
         parts.append(({sp.label: plan.assemble(sp, forms, y0)
                        for sp in plan.specs}, amp))
     return _merge(parts)
@@ -312,11 +311,8 @@ def threshold_from_stats(stats, pfa):
     n = stats.shape[0]
     if not 0.0 < pfa < 1.0:
         raise ConfigError(f"pfa must lie in (0, 1), got {pfa}")
-    bad = int(np.count_nonzero(~np.isfinite(stats)))
-    if bad:
-        raise NumericalError(
-            f"{bad} of {n} statistics are NaN or infinite; a threshold "
-            "set on them would shift the achieved Pfa")
+    require_finite(stats, "statistics",
+                   "a threshold set on them would shift the achieved Pfa")
     rank = math.ceil(n * (1.0 - pfa))
     if rank < 1 or rank > n:
         raise ConfigError(
@@ -379,6 +375,8 @@ class PdEvaluator:
 
     def pd(self, label, tau, scnr, target_model):
         stats = self.statistics(label, scnr, target_model)
+        require_finite(stats, "statistics",
+                       "Pd would count them as detections or misses")
         k = int(np.sum(stats > tau))
         return k / self.trials, wilson_ci(k, self.trials)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators, rmt
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .results import Curve
 from .scenario import as_spectrum
 
@@ -38,6 +38,7 @@ _FLAT_RTOL = 1e-12
 # of a brentq call
 _CROSSING_POINTS = 64
 _CROSSING_TOL = 1e-12
+_UNRANKED = "the loading search cannot rank them"
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,11 @@ def search_rows(objective, eigenvalues, config=None):
     takes a (B, m) array of loadings and returns their values (that shape,
     or one value broadcast to it). Returns the rows lambda_star, objective
     value, evaluations (grid points plus golden steps), bracket ends and
-    converged. A flat row (no grid point improves on lam = 0 beyond
-    rounding) gets lambda_star = 0 with converged = False, and so does a
-    row whose bracket is still wider than tol after _GOLDEN_STEPS steps.
+    converged, or raises NumericalError when a grid value or a returned
+    value is NaN or infinite. A flat row (no grid point improves on
+    lam = 0 beyond rounding) gets lambda_star = 0 with converged = False,
+    and so does a row whose bracket is still wider than tol after
+    _GOLDEN_STEPS steps.
     """
     cfg = config or OptConfig()
 
@@ -105,17 +108,13 @@ def search_rows(objective, eigenvalues, config=None):
     grid = np.zeros((B, P + 1))
     grid[:, 1:] = _log_grid(cfg, eigenvalues)
     rows = np.arange(B)
-    # the first maximum over the grid: the smallest loading on ties
     cols = max(1, _GRID_CELLS // B)
-    for j in range(0, P + 1, cols):
-        vals = f(grid[:, j:j + cols])
-        k = np.argmax(vals, axis=1)
-        if j == 0:
-            v0, best, best_v = vals[:, 0], k, vals[rows, k]
-        else:
-            up = vals[rows, k] > best_v
-            best = np.where(up, j + k, best)
-            best_v = np.where(up, vals[rows, k], best_v)
+    vals = np.concatenate([f(grid[:, j:j + cols])
+                           for j in range(0, P + 1, cols)], axis=1)
+    require_finite(vals, "objective values on the grid", _UNRANKED)
+    # the first maximum over the grid: the smallest loading on ties
+    best = np.argmax(vals, axis=1)
+    v0, best_v = vals[:, 0], vals[rows, best]
     flat = best_v - v0 <= _FLAT_RTOL * np.maximum(1.0, np.abs(v0))
     lo = np.where(flat, 0.0, grid[rows, np.maximum(best - 1, 0)])
     hi = np.where(flat, grid[:, 1], grid[rows, np.minimum(best + 1, P)])
@@ -159,8 +158,9 @@ def search_rows(objective, eigenvalues, config=None):
     first = f1 >= f2
     xg, fg = np.where(first, x1, x2), np.where(first, f1, f2)
     golden = ~flat & ~(best_v >= fg)
-    return (np.where(golden, xg, x), np.where(golden, fg, fx), evals, lo, hi,
-            ~flat & ~act)
+    fx = np.where(golden, fg, fx)
+    require_finite(fx, "objective values at the maxima", _UNRANKED)
+    return np.where(golden, xg, x), fx, evals, lo, hi, ~flat & ~act
 
 
 def _one_row(found):

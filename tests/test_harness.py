@@ -271,18 +271,23 @@ class TestBatchScalarAgreement:
                                            err_msg=f"{sp.label} {name}")
 
     def test_set_composition_invariant(self, scen_n24_k48):
-        # persym-amf first: it writes the persymmetrized SCM into a buffer
-        # of its own before any loading is factored, and no kind may see
-        # its neighbours
-        specs = _fixed_specs()
-        specs.sort(key=lambda sp: sp.kind != "persym-amf")
-        together, _ = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0, 0,
-                                  64)
-        for sp in specs:
-            alone, _ = _eval_chunk(_BatchPlan(scen_n24_k48, [sp]), 11, 0, 0,
-                                   64)
-            for a, b in zip(together[sp.label], alone[sp.label]):
-                np.testing.assert_array_equal(a, b, err_msg=sp.label)
+        # no kind may see its neighbours. persym-amf overwrites S once the
+        # route is done with it: on the Cholesky route after S's diagonal
+        # is restored, on the spectral route (el-amf's) after a reduction
+        # that must leave S intact; alone, persym-amf takes the Cholesky
+        # route
+        spectral = [DetectorSpec("persym-amf"), DetectorSpec("el-amf"),
+                    DetectorSpec("dl-amf", lam=1.5),
+                    DetectorSpec("cfar-dl-amf", lam=1.5)]
+        for specs, compared in ((_fixed_specs(), _fixed_specs()),
+                                (spectral, spectral[:1])):
+            together, _ = _eval_chunk(_BatchPlan(scen_n24_k48, specs), 11, 0,
+                                      0, 64)
+            for sp in compared:
+                alone, _ = _eval_chunk(_BatchPlan(scen_n24_k48, [sp]), 11,
+                                       0, 0, 64)
+                for a, b in zip(together[sp.label], alone[sp.label]):
+                    np.testing.assert_array_equal(a, b, err_msg=sp.label)
 
 
 # the true covariance is clamped, with a warning
@@ -381,8 +386,6 @@ class TestOneReduction:
         scen, s, K = scen_n24_k48, scen_n24_k48.steering, scen_n24_k48.K
         plan = _BatchPlan(scen, [DetectorSpec("cfar-el-amf"),
                                  DetectorSpec("opt-cfar-dl-amf")])
-        _, _, red = harness._reduce_block(plan, 11, 0, 0, 8,
-                                          _Workspace(plan, 8))
         used = {}
 
         def record(key, fn):
@@ -395,7 +398,8 @@ class TestOneReduction:
                             record("el", estimators._el_rows))
         monkeypatch.setattr(optimizer, "lambda_opt_rows",
                             record("adaptive-opt", optimizer.lambda_opt_rows))
-        forms = plan.forms(red)
+        _, _, forms = harness._reduce_block(plan, 11, 0, 0, 8,
+                                            _Workspace(plan, 8))
         monkeypatch.undo()
         used["adaptive-opt"] = used["adaptive-opt"][0]
         for t in range(8):
@@ -408,6 +412,23 @@ class TestOneReduction:
                 assert lam == used[key][t], (key, t)
                 assert estimators.mu0_hat(S, s, lam, K) == forms[key][2][t], \
                     (key, t)
+
+    def test_one_kernel_call_per_block(self, scen_n24_k48, monkeypatch):
+        # the spectral route forms the fixed and EL loadings of a block in
+        # one row kernel call, and a chunk makes one Plan.forms call per
+        # block
+        plan = _BatchPlan(scen_n24_k48, [DetectorSpec("el-amf"),
+                                         DetectorSpec("cfar-el-amf"),
+                                         DetectorSpec("dl-amf", lam=1.5)])
+        calls = []
+        for owner, name in ((estimators, "_loaded_rows"),
+                            (detectors.Plan, "forms")):
+            def counted(*args, fn=getattr(owner, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(owner, name, counted)
+        _eval_chunk(plan, 11, 0, 0, 2 * plan.block + 1)
+        assert calls == ["forms", "_loaded_rows"] * 3
 
 
 def _eigh_rows(S, y0, s):
@@ -774,6 +795,18 @@ class TestPdEvaluator:
                 spec, ds.y0, scen_n24_k48.steering, scen_n24_k48.K,
                 scm=scm(ds))
             assert got[t] == pytest.approx(ref, rel=1e-7)
+
+    # the oracle mu0 underflows: every statistic is inf at 1e160 and NaN
+    # at 1e200, and Pd must not count them as detections or misses
+    @pytest.mark.parametrize("lam", [1e160, 1e200])
+    def test_non_finite_statistics_rejected(self, scen_n24_k48, lam):
+        cfg = TrialConfig(scen_n24_k48, DetectorSpec("cfar-dl-scmf", lam),
+                          trials=200, master_seed=0)
+        with pytest.raises(NumericalError):
+            calibrate_threshold(cfg)
+        ev = pd_evaluator(cfg)
+        with pytest.raises(NumericalError, match="200 of 200"):
+            ev.pd(cfg.detector.label, 1.0, 1.0, "swerling0")
 
     def test_unknown_target_model(self, scen_n24_k48):
         cfg = TrialConfig(scen_n24_k48, DetectorSpec("np"), trials=10,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dlamf import optimizer, rmt
-from dlamf.errors import ConfigError
+from dlamf.detectors import DetectorSpec, evaluate_statistic
+from dlamf.errors import ConfigError, NumericalError
+from dlamf.harness import h0_statistics
 from dlamf.optimizer import OptConfig
 from dlamf.scenario import Swerling0, sample_dataset, scm, trial_rng
 
@@ -32,6 +34,36 @@ class TestGoldenRefine:
         x, _, _, _, _, _ = optimizer.search_rows(
             f, np.ones((1, 4)), OptConfig(lambda_max=5.0, tol=1e-9))
         assert x[0] == pytest.approx(0.3, abs=1e-7)
+
+    def test_first_maximum_over_column_groups(self):
+        # 64 rows take the grid in column groups of 64; on a plateau the
+        # search keeps the first grid point that reaches it
+        l = np.linspace(1.0, 3.0, 64)[:, None] * np.ones((64, 4))
+        x, fx, _, _, _, _ = optimizer.search_rows(
+            lambda t: np.minimum(t, 1.0), l)
+        grid = optimizer._log_grid(OptConfig(), l)
+        first = grid[np.arange(64), np.argmax(grid >= 1.0, axis=1)]
+        np.testing.assert_array_equal(x, first)
+        np.testing.assert_array_equal(fx, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_non_finite_objective_raises(self, value, on_grid):
+        # two rows take the grid in one call; a value at lam = 0 on the
+        # grid, or every golden value, is non-finite
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            v = -(t - 0.5) ** 2
+            if on_grid:
+                return np.where(t == 0.0, value, v)
+            return v if len(calls) == 1 else np.full_like(v, value)
+
+        with pytest.raises(NumericalError):
+            optimizer.search_rows(f, np.ones((2, 4)),
+                                  OptConfig(lambda_max=1.0))
+        assert (len(calls) == 1) == on_grid
 
 
 class TestOptConfig:
@@ -166,6 +198,26 @@ class TestLambdaOptHat:
         ds = sample_dataset(scen, Swerling0(), "h0", rng)
         res = optimizer.lambda_opt_hat(scm(ds), scen.steering, 48)
         assert res.lambda_star > 0.0
+
+
+class TestNonFinite:
+    # every power scaled by c: the objective is NaN on the whole grid at
+    # 1e200, and on 98 of its 201 points at 1e-300, where a search over
+    # the rest would report a wrong optimum (kappa 0.8019, not 0.9217) as
+    # converged
+    @pytest.mark.parametrize("c", [1e200, 1e-300])
+    def test_searches_raise(self, c):
+        scen = toeplitz_scenario(24, 48, clutter_power=10.0 * c, noise=c)
+        s, K = scen.steering, scen.K
+        with pytest.raises(NumericalError):
+            optimizer.lambda_opt(scen.covariance(), s, K)
+        ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, 0))
+        spec = DetectorSpec("opt-cfar-dl-amf")
+        for fn in (lambda: optimizer.lambda_opt_hat(scm(ds), s, K),
+                   lambda: evaluate_statistic(spec, ds.y0, s, K, scm=scm(ds)),
+                   lambda: h0_statistics(scen, [spec], 64, master_seed=0)):
+            with pytest.raises(NumericalError):
+                fn()
 
 
 class TestKappaCrossing:
