@@ -5,19 +5,24 @@
 Usage: PYTHONPATH=src python3 scripts/engine_digests.py [--trials 512]
 
 Each set runs at workers=1 with the default chunk, and at workers=2 with a
-chunk that splits the trials into at least three chunks. A digest covers the
-h0 statistics of h0_statistics and the (alpha, beta, norm) coefficients and
-amplitudes of one pd_evaluator pass, for every detector of the set. A last
-line digests evaluate_statistic for every kind on five trials.
+chunk that splits the trials into at least three chunks. Where the tree has
+harness.Engine, each set runs a third time on one engine of two workers
+shared by every set, with the default chunk, which the engine cuts to
+ceil(trials / 2) (the "engine=2" lines). A digest covers the h0 statistics
+of h0_statistics and the (alpha, beta, norm) coefficients and amplitudes of
+one pd_evaluator pass, for every detector of the set. A last line digests
+evaluate_statistic for every kind on five trials.
 
 Run it with PYTHONPATH at two source trees: equal lines mean equal bits.
 The script reads only names that the engine has had since the one-pass
-coefficients, so an older tree prints its own baseline. Exits 1 when the
-lines of one set disagree, since the reproducibility contract makes the
-statistics independent of the worker count and the chunk size.
+coefficients, and the engine lines where it exists, so an older tree prints
+its own baseline. Exits 1 when the lines of one set disagree, since the
+reproducibility contract makes the statistics independent of the worker
+count, the chunk size and the engine.
 """
 
 import argparse
+import contextlib
 import hashlib
 import sys
 
@@ -65,11 +70,12 @@ SETS = {
 }
 
 
-def engine_digest(scen, specs, trials, workers, chunk):
+def engine_digest(scen, specs, trials, workers, chunk, engine=None):
+    on = {} if engine is None else {"engine": engine}
     stats = harness.h0_statistics(scen, specs, trials, SEED, workers=workers,
-                                  chunk=chunk)
+                                  chunk=chunk, **on)
     ev = harness.pd_evaluator(TrialConfig(scen, specs, trials, SEED,
-                                          workers=workers, chunk=chunk))
+                                          workers=workers, chunk=chunk), **on)
     h = hashlib.sha256()
     for sp in specs:
         h.update(sp.label.encode())
@@ -100,16 +106,25 @@ def main(argv=None):
     args = ap.parse_args(argv)
     runs = [(1, harness.DEFAULT_CHUNK), (2, max(1, args.trials // 3))]
     status = 0
-    for name, (scen, specs) in SETS.items():
-        digests = set()
-        for workers, chunk in runs:
-            d = engine_digest(scen, specs, args.trials, workers, chunk)
-            digests.add(d)
-            print(f"{name} workers={workers} chunk={chunk} {d}", flush=True)
-        if len(digests) > 1:
-            print(f"{name}: digests differ across workers and chunks",
-                  file=sys.stderr)
-            status = 1
+    shared = getattr(harness, "Engine", None)
+    with shared(2) if shared else contextlib.nullcontext() as engine:
+        for name, (scen, specs) in SETS.items():
+            digests = set()
+            for workers, chunk in runs:
+                d = engine_digest(scen, specs, args.trials, workers, chunk)
+                digests.add(d)
+                print(f"{name} workers={workers} chunk={chunk} {d}",
+                      flush=True)
+            if engine is not None:
+                d = engine_digest(scen, specs, args.trials, 1,
+                                  harness.DEFAULT_CHUNK, engine=engine)
+                digests.add(d)
+                print(f"{name} engine=2 chunk={harness.DEFAULT_CHUNK} {d}",
+                      flush=True)
+            if len(digests) > 1:
+                print(f"{name}: digests differ across workers, chunks and "
+                      f"engines", file=sys.stderr)
+                status = 1
     scen, specs = SETS["all-kinds-toeplitz-n24"]
     print(f"evaluate_statistic all-kinds-toeplitz-n24 "
           f"{scalar_digest(scen, specs)}")

@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, harness, optimizer, rmt, theory
+from . import __version__, blas, harness, optimizer, rmt, theory
 from .detectors import (CFAR_DL_AMF, CFAR_DL_SCMF, CFAR_EL_AMF, CFAR_TAGS,
                         DL_AMF, DL_RAW, DL_SCM_BETA, EL_AMF,
                         FIXED_LAMBDA_TAGS, KINDS, NP, OPT_CFAR_DL_AMF,
@@ -94,8 +95,7 @@ def _write_curve(path, curve):
 
 
 def _write_hist(path, hist):
-    _write_csv(path, ("x", "y"),
-               zip(hist.bin_centers, hist.density))
+    _write_csv(path, ("x", "y"), zip(hist.bin_centers, hist.density))
 
 
 def _write_kappa(path, curve):
@@ -240,13 +240,9 @@ def cmd_kappa(args, argv):
 
 
 def _threshold_rows(taus, specs):
-    rows = []
-    for sp in specs:
-        t = taus[sp.label]
-        rows.append((sp.label, sp.kind, "" if sp.lam is None else sp.lam,
-                     t.tau, t.achieved_pfa, t.pfa_ci[0], t.pfa_ci[1],
-                     t.tau_ci[0], t.tau_ci[1], t.trials))
-    return rows
+    return [(sp.label, sp.kind, "" if sp.lam is None else sp.lam, t.tau,
+             t.achieved_pfa, *t.pfa_ci, *t.tau_ci, t.trials)
+            for sp in specs for t in (taus[sp.label],)]
 
 
 def _pfa_record(taus):
@@ -260,9 +256,9 @@ def cmd_threshold(args, argv):
     specs = _parse_detectors(args.detector, args.lam)
     cfg = TrialConfig(scenario=scen, detector=specs, trials=args.trials,
                       master_seed=args.seed, pfa_pre=args.pfa,
-                      workers=args.workers, opt_config=_opt_config(args))
+                      opt_config=_opt_config(args))
     run = _Run(argv, args.out, doc)
-    taus = harness.calibrate_threshold(cfg)
+    taus = harness.calibrate_threshold(cfg, engine=args.engine)
     run.thresholds.update(_pfa_record(taus))
     _write_csv(run.path("thresholds.csv"),
                ("detector", "kind", "lambda", "tau", "achieved_pfa",
@@ -279,14 +275,14 @@ def cmd_pd_sweep(args, argv):
     grid = _parse_scnr_grid(args.scnr_db)
     cal = TrialConfig(scenario=scen, detector=specs,
                       trials=args.threshold_trials, master_seed=args.seed,
-                      pfa_pre=args.pfa, workers=args.workers,
-                      opt_config=_opt_config(args))
+                      pfa_pre=args.pfa, opt_config=_opt_config(args))
     run = _Run(argv, args.out, doc, notes={"target": target})
-    taus = harness.calibrate_threshold(cal)
+    taus = harness.calibrate_threshold(cal, engine=args.engine)
     run.thresholds.update(_pfa_record(taus))
     curves = harness.pd_vs_scnr_sweep(
         replace(cal, trials=args.trials),
-        {sp.label: taus[sp.label].tau for sp in specs}, grid, target)
+        {sp.label: taus[sp.label].tau for sp in specs}, grid, target,
+        engine=args.engine)
     for sp in specs:
         _write_curve(run.path(f"pd_{_slug(sp.label)}.csv"), curves[sp.label])
     run.finish({"seed": args.seed, "pfa": args.pfa, "trials": args.trials,
@@ -302,7 +298,7 @@ def cmd_loss_table(args, argv):
     rows = harness.detection_loss_table(
         scen, specs, pfa_pre=args.pfa, threshold_trials=args.threshold_trials,
         pd_trials=args.trials, master_seed=args.seed, pd_target=args.pd,
-        workers=args.workers, opt_config=_opt_config(args))
+        opt_config=_opt_config(args), engine=args.engine)
     run.thresholds.update(_pfa_record(
         {r["detector"]: r["threshold"] for r in rows}))
     _write_csv(run.path("loss_table.csv"), LOSS_COLUMNS,
@@ -412,7 +408,7 @@ def _specs(tags, lam=LAM):
             for t in tags]
 
 
-def _histograms(run, item, row, budgets, seed, workers, pfa):
+def _histograms(run, item, row, budgets, seed, engine, pfa):
     run.notes.update(row.notes)
     for panel, key, values in row.panels:
         for val in values:
@@ -420,9 +416,8 @@ def _histograms(run, item, row, budgets, seed, workers, pfa):
             specs = _specs(row.tags, over.pop("lam", LAM))
             scen = _scen_toeplitz(24, 48, **over)
             cfg = TrialConfig(scenario=scen, detector=specs,
-                              trials=budgets["hist"], master_seed=seed,
-                              workers=workers)
-            hists = harness.empirical_pdf(cfg, bins=60)
+                              trials=budgets["hist"], master_seed=seed)
+            hists = harness.empirical_pdf(cfg, bins=60, engine=engine)
             for sp in specs:
                 h = hists[sp.label]
                 name = f"{item}{panel}_{key}{val:g}_{_slug(sp.label)}"
@@ -439,7 +434,7 @@ def _histograms(run, item, row, budgets, seed, workers, pfa):
                              Curve(x=xs, y=np.exp(-xs / scale) / scale))
 
 
-def _curves(run, item, row, budgets, seed, workers, pfa):
+def _curves(run, item, row, budgets, seed, engine, pfa):
     grid = np.arange(0.0, row.top_db + 0.5, 1.0)
     lin = harness.db_to_linear(grid)
     tau = theory.cfar_threshold(pfa)
@@ -466,12 +461,13 @@ def _curves(run, item, row, budgets, seed, workers, pfa):
                 + [(SCM_AMF, 0.0), (NP, None)]
         cal = TrialConfig(scenario=scen, detector=specs,
                           trials=budgets["threshold"], master_seed=seed,
-                          pfa_pre=pfa, workers=workers)
-        taus = harness.calibrate_threshold(cal)
+                          pfa_pre=pfa)
+        taus = harness.calibrate_threshold(cal, engine=engine)
         run.thresholds[name] = _pfa_record(taus)
         mc = harness.pd_vs_scnr_sweep(
             replace(cal, trials=budgets["pd"]),
-            {sp.label: taus[sp.label].tau for sp in specs}, grid, TARGETS)
+            {sp.label: taus[sp.label].tau for sp in specs}, grid, TARGETS,
+            engine=engine)
         for t in TARGETS:
             for sp in specs:
                 _write_curve(run.path(f"{name}_{t}_mc_{_slug(sp.label)}.csv"),
@@ -494,13 +490,13 @@ def _curves(run, item, row, budgets, seed, workers, pfa):
                              Curve(x=grid, y=y))
 
 
-def _loss_table(run, item, scen_fn, budgets, seed, workers, pfa):
+def _loss_table(run, item, scen_fn, budgets, seed, engine, pfa):
     rows = []
     for K in (48, 28):
         table = harness.detection_loss_table(
             scen_fn(24, K), _specs(LOSS_TAGS), pfa_pre=pfa,
             threshold_trials=budgets["threshold"], pd_trials=budgets["pd"],
-            master_seed=seed, workers=workers)
+            master_seed=seed, engine=engine)
         run.thresholds[f"{item}_K{K}"] = _pfa_record(
             {r["detector"]: r["threshold"] for r in table})
         rows += ([K] + [r[c] for c in LOSS_COLUMNS] for r in table)
@@ -524,13 +520,23 @@ def cmd_reproduce(args, argv):
                notes={"item": args.item, "fast": bool(args.fast),
                       "budgets": budgets})
     interpret, row = REPRODUCE_ITEMS[args.item]
-    interpret(run, args.item, row, budgets, args.seed, args.workers, args.pfa)
+    interpret(run, args.item, row, budgets, args.seed, args.engine, args.pfa)
     run.finish({"seed": args.seed, "pfa": args.pfa,
                 "detectors": None})
     return 0
 
 
 # --- parser ----------------------------------------------------------------
+
+def _default_workers():
+    """The CPUs this process may run on; 1 when blas finds neither OpenBLAS
+    pool, since workers could then not hold theirs at one thread."""
+    if not blas.pools():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _flags(*args, **kwargs):
     """A parent parser of one flag, for add_parser's parents."""
@@ -551,7 +557,10 @@ def build_parser():
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--pfa", type=float, default=1e-3)
     run.add_argument("--seed", type=int, default=1234)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int, default=_default_workers(),
+                     help="worker processes of the command's one pool; 1 "
+                          "runs in process (default: the usable CPUs, or 1 "
+                          "where the OpenBLAS pools cannot be pinned)")
     # the Monte Carlo commands: detectors, loadings and the opt search
     mc = argparse.ArgumentParser(add_help=False, parents=[config, run, out])
     mc.add_argument("--detector", "--detectors", required=True,
@@ -604,7 +613,9 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args, argv) or 0
+        # one engine, so at most one worker pool, per command
+        with harness.Engine(getattr(args, "workers", 1)) as args.engine:
+            return args.func(args, argv) or 0
     except ConfigError as e:
         _emit_error("config", e)
         return 2

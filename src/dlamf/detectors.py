@@ -59,7 +59,7 @@ import numpy as np
 from scipy.linalg.lapack import zpotrf, ztrtri
 
 from . import blas, estimators, optimizer, rmt
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_finite
 from .scenario import as_spectrum, steering_entries
 
 NP = "np"
@@ -190,6 +190,8 @@ class Plan:
         if R is not None:
             R = as_spectrum(R)
             self.q = R.inv_quad(self.s)
+            require_finite(self.q, "q = s^H R^-1 s", "the powers are out of "
+                           "floating-point range", nonzero=True)
             self.t_conj = np.conj(R.apply_inv(self.s))
             if "oracle-opt" in sources:
                 design = design or optimizer.lambda_opt

@@ -17,9 +17,13 @@ class NumericalError(RuntimeError):
     """A solver or factorization failed to reach its stated tolerance."""
 
 
-def require_finite(values, what, why):
-    """Raise NumericalError when any of values is NaN or infinite."""
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
-        raise NumericalError(f"{bad} of {np.size(values)} {what} are NaN or "
-                             f"infinite; {why}")
+def require_finite(values, what, why, nonzero=False):
+    """Raise NumericalError when any of values is NaN or infinite, or, with
+    nonzero, zero."""
+    bad = ~np.isfinite(values)
+    if nonzero:
+        bad |= np.equal(values, 0)
+    if bad.any():
+        kinds = "NaN, infinite or zero" if nonzero else "NaN or infinite"
+        raise NumericalError(f"{np.count_nonzero(bad)} of {np.size(values)} "
+                             f"{what} are {kinds}; {why}")

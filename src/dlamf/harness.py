@@ -29,6 +29,11 @@ amplitudes outlive a block, so a chunk of B trials holds one block's
 buffers plus O(B) numbers at any array size. evaluate_statistic runs the
 same two steps on a block of one trial.
 
+Chunks run on an Engine, which holds at most one pool of worker processes
+for its with block. Each public function that runs trials takes one as its
+last keyword, engine, or opens one of cfg.workers for the call; the CLI
+opens one per command.
+
 Reproducibility: for a given (seed, stream, trial, detector set) every
 statistic is bit-identical for every worker count, chunk size and block
 size. Two detector sets that take different routes may differ in the last
@@ -95,7 +100,8 @@ def ks_distance(samples, cdf):
 
 @dataclass
 class TrialConfig:
-    """One Monte Carlo run: scenario, detector(s), budget, seed."""
+    """One Monte Carlo run: scenario, detector(s), budget, seed; workers
+    sizes the Engine opened for a call given none."""
 
     scenario: object
     detector: object  # DetectorSpec or sequence of them
@@ -261,28 +267,55 @@ def _merge(parts):
     return coeffs, np.concatenate([amp for _, amp in parts])
 
 
-def _run_batches(plan, cfg, stream):
-    """_eval_chunk over cfg's trials chunk by chunk, merged in order."""
-    args = [(plan, cfg.master_seed, stream, lo,
-             min(lo + cfg.chunk, cfg.trials))
-            for lo in range(0, cfg.trials, cfg.chunk)]
-    if cfg.workers <= 1 or len(args) == 1:
-        parts = [_eval_chunk(*a) for a in args]
-    else:
+class Engine:
+    """Runs the chunks of trial runs, in process or on one pool of workers
+    that it starts on its first run of several chunks. Use it in a with
+    block: the pool shuts down when the outermost one ends, also when it
+    raises, so every function can enter the engine it is given."""
+
+    def __init__(self, workers=1):
+        if workers < 1:
+            raise ConfigError("workers must be >= 1")
+        self.workers, self.pool, self.depth = workers, None, 0
+
+    def __enter__(self):
+        self.depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        self.depth -= 1
+        if not self.depth and self.pool:
+            self.pool.shutdown()
+            self.pool = None
+
+    def map(self, fn, args):
+        """[fn(*a) for a in args], in order, in the pool when it helps."""
+        if self.workers == 1 or len(args) == 1:
+            return [fn(*a) for a in args]
         # one BLAS thread per worker: the workers already fill the CPUs
-        with ProcessPoolExecutor(max_workers=cfg.workers,
-                                 initializer=blas.pin_one_thread) as ex:
-            parts = list(ex.map(_eval_chunk, *zip(*args)))
-    return _merge(parts)
+        self.pool = self.pool or ProcessPoolExecutor(
+            self.workers, initializer=blas.pin_one_thread)
+        return list(self.pool.map(fn, *zip(*args)))
+
+
+def _run_batches(plan, cfg, stream, engine=None):
+    """_eval_chunk over cfg's trials on engine (one of cfg.workers when
+    None), merged in order: chunks of min(cfg.chunk, ceil(trials /
+    workers)) trials, so every worker gets one."""
+    with engine or Engine(cfg.workers) as eng:
+        chunk = min(cfg.chunk, -(-cfg.trials // eng.workers))
+        return _merge(eng.map(_eval_chunk, [
+            (plan, cfg.master_seed, stream, lo, min(lo + chunk, cfg.trials))
+            for lo in range(0, cfg.trials, chunk)]))
 
 
 def h0_statistics(scenario, specs, trials, master_seed, stream=0, workers=1,
-                  chunk=DEFAULT_CHUNK, opt_config=None):
+                  chunk=DEFAULT_CHUNK, opt_config=None, engine=None):
     """Null-hypothesis statistics for each detector, {label: array}."""
     cfg = TrialConfig(scenario, list(specs), trials, master_seed,
                       workers=workers, chunk=chunk, opt_config=opt_config)
     plan = _BatchPlan(scenario, cfg.spec_list(), opt_config)
-    coeffs, _ = _run_batches(plan, cfg, stream)
+    coeffs, _ = _run_batches(plan, cfg, stream, engine)
     return {label: _statistic(c, 0.0) for label, c in coeffs.items()}
 
 
@@ -334,7 +367,7 @@ def threshold_from_stats(stats, pfa):
                            trials=n)
 
 
-def calibrate_threshold(cfg, stream=0):
+def calibrate_threshold(cfg, stream=0, engine=None):
     """Per-detector thresholds at cfg.pfa_pre from one h0 run.
 
     Returns {label: ThresholdResult} for multi-detector configs, a single
@@ -343,7 +376,7 @@ def calibrate_threshold(cfg, stream=0):
     specs = cfg.spec_list()
     stats = h0_statistics(cfg.scenario, specs, cfg.trials, cfg.master_seed,
                           stream=stream, workers=cfg.workers, chunk=cfg.chunk,
-                          opt_config=cfg.opt_config)
+                          opt_config=cfg.opt_config, engine=engine)
     res = {sp.label: threshold_from_stats(stats[sp.label], cfg.pfa_pre)
            for sp in specs}
     if isinstance(cfg.detector, DetectorSpec):
@@ -381,7 +414,7 @@ class PdEvaluator:
         return k / self.trials, wilson_ci(k, self.trials)
 
 
-def pd_evaluator(cfg, stream=1, plan=None):
+def pd_evaluator(cfg, stream=1, plan=None, engine=None):
     """Frozen coefficients of one pass of cfg on stream.
 
     plan, a _BatchPlan of cfg's scenario and detectors, skips the set-up
@@ -389,22 +422,24 @@ def pd_evaluator(cfg, stream=1, plan=None):
     """
     if plan is None:
         plan = _BatchPlan(cfg.scenario, cfg.spec_list(), cfg.opt_config)
-    return PdEvaluator(*_run_batches(plan, cfg, stream), plan.q, cfg.trials)
+    coeffs, amp = _run_batches(plan, cfg, stream, engine)
+    return PdEvaluator(coeffs, amp, plan.q, cfg.trials)
 
 
-def estimate_pd(cfg, tau, scnr, target_model, stream=1):
+def estimate_pd(cfg, tau, scnr, target_model, stream=1, engine=None):
     """Detection probability at linear SCNR scnr; returns (pd, (lo, hi)).
 
     Multi-detector configs take tau as {label: tau} and return dicts.
     """
-    ev = pd_evaluator(cfg, stream=stream)
+    ev = pd_evaluator(cfg, stream=stream, engine=engine)
     if isinstance(cfg.detector, DetectorSpec):
         return ev.pd(cfg.detector.label, tau, scnr, target_model)
     return {lbl: ev.pd(lbl, tau[lbl], scnr, target_model)
             for lbl in (sp.label for sp in cfg.spec_list())}
 
 
-def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1):
+def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1,
+                     engine=None):
     """Detection curves over an SCNR grid, fresh trials per grid point.
 
     tau is a scalar (single detector) or {label: tau}. Returns a Curve for a
@@ -422,11 +457,12 @@ def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1):
     pds = {(t, sp.label): np.empty((3, grid.shape[0]))
            for t in models for sp in specs}
     plan = _BatchPlan(cfg.scenario, specs, cfg.opt_config)
-    for i, db in enumerate(grid):
-        ev = pd_evaluator(cfg, stream=stream_base + i, plan=plan)
-        for (t, lbl), out in pds.items():
-            p, (lo, hi) = ev.pd(lbl, taus[lbl], float(db_to_linear(db)), t)
-            out[:, i] = p, lo, hi
+    with engine or Engine(cfg.workers) as eng:
+        for i, db in enumerate(grid):
+            ev = pd_evaluator(cfg, stream_base + i, plan, eng)
+            for (t, lbl), out in pds.items():
+                p, ci = ev.pd(lbl, taus[lbl], float(db_to_linear(db)), t)
+                out[:, i] = p, *ci
     curves = {t: {} for t in models}
     for (t, lbl), (y, lo, hi) in pds.items():
         curves[t][lbl] = Curve(x=grid, y=y, ci_lo=lo, ci_hi=hi, label=lbl,
@@ -480,7 +516,7 @@ def scnr_at_pd(cfg, tau, pd_target, target_model, stream=1,
 def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
                          pd_trials, master_seed, pd_target=0.5,
                          target_models=("swerling0", "swerling1"), workers=1,
-                         chunk=DEFAULT_CHUNK, opt_config=None):
+                         chunk=DEFAULT_CHUNK, opt_config=None, engine=None):
     """SCNR loss of each detector against the clairvoyant filter.
 
     One h0 pass calibrates every threshold, one coefficient pass serves all
@@ -495,9 +531,10 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
                           trials=threshold_trials, master_seed=master_seed,
                           pfa_pre=pfa_pre, workers=workers, chunk=chunk,
                           opt_config=opt_config)
-    taus = calibrate_threshold(cal_cfg)
     pd_cfg = replace(cal_cfg, trials=pd_trials)
-    ev = pd_evaluator(pd_cfg, stream=1)
+    with engine or Engine(workers) as eng:
+        taus = calibrate_threshold(cal_cfg, engine=eng)
+        ev = pd_evaluator(pd_cfg, stream=1, engine=eng)
     rows = []
     for target in target_models:
         ref_db = None
@@ -515,12 +552,12 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
     return rows
 
 
-def empirical_pdf(cfg, bins=80, value_range=None, stream=0):
+def empirical_pdf(cfg, bins=80, value_range=None, stream=0, engine=None):
     """Histogram of each detector's h0 statistic, {label: Histogram}."""
     specs = cfg.spec_list()
     stats = h0_statistics(cfg.scenario, specs, cfg.trials, cfg.master_seed,
                           stream=stream, workers=cfg.workers, chunk=cfg.chunk,
-                          opt_config=cfg.opt_config)
+                          opt_config=cfg.opt_config, engine=engine)
     out = {}
     for sp in specs:
         dens, edges = np.histogram(stats[sp.label], bins=bins,

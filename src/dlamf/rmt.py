@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_finite
 from .scenario import as_spectrum, steering_entries
 
 _RESIDUAL_TOL = 1e-12
@@ -200,6 +200,8 @@ def deterministic_equivalents(R, s, lam, K):
         omc = 1.0 - N / K
         psi[zero], xi[zero] = q / omc, q / omc ** 2
         gamma[zero], mu0[zero] = N / K, q / omc ** 3
+    require_finite(mu0, "mu0", "the loading or the powers are out of "
+                   "floating-point range", nonzero=True)
     return AsymptoticParams(
         lam=_shaped(lams, lam), delta=_shaped(delta, lam),
         psi=_shaped(psi, lam), xi=_shaped(xi, lam),

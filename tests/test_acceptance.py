@@ -42,6 +42,15 @@ from dlamf.scenario import Swerling0, sample_dataset, scm, trial_rng
 SEED = 20260819
 
 
+@pytest.fixture
+def engine():
+    """The trial engine of criteria 4-7: one pool of up to two worker
+    processes per test. Every statistic is the same bits at any worker
+    count."""
+    with harness.Engine(min(2, os.cpu_count() or 1)) as eng:
+        yield eng
+
+
 def _report(num, ok, text):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {text}",
           flush=True)
@@ -205,7 +214,7 @@ def test_c03_pinned_optima():
             f"computed values are kept as-is:\n\n{detail}")
 
 
-def test_c04_cfar_statistics_unit_exponential():
+def test_c04_cfar_statistics_unit_exponential(engine):
     """Every CFAR-normalized statistic is unit exponential under h0 to
     KS < 0.03 at 1e5 trials, across 9 clutter/steering scenarios."""
     t0 = time.perf_counter()
@@ -222,7 +231,8 @@ def test_c04_cfar_statistics_unit_exponential():
         for j, theta in enumerate((0.0, 5.0, 20.0)):
             scen = toeplitz_scenario(24, 48, rho=rho, theta=theta)
             stats_map = harness.h0_statistics(scen, specs, 100_000,
-                                              SEED + 100 * i + 10 * j)
+                                              SEED + 100 * i + 10 * j,
+                                              engine=engine)
             for label, vals in stats_map.items():
                 d = harness.ks_distance(vals, cdf)
                 pairs += 1
@@ -237,7 +247,7 @@ def test_c04_cfar_statistics_unit_exponential():
     assert ok, f"KS {worst:.4f} >= 0.03 for {worst_at}"
 
 
-def test_c05_dl_amf_is_not_cfar():
+def test_c05_dl_amf_is_not_cfar(engine):
     """The un-normalized statistic's h0 mean moves with the clutter: the
     means at rho=0.1 and rho=0.95 are far apart in standard-error units."""
     t0 = time.perf_counter()
@@ -245,8 +255,8 @@ def test_c05_dl_amf_is_not_cfar():
     stats = {}
     for rho in (0.1, 0.95):
         scen = toeplitz_scenario(24, 48, rho=rho, theta=20.0)
-        stats[rho] = harness.h0_statistics(scen, [spec], 20_000,
-                                           SEED + 5)[spec.label]
+        stats[rho] = harness.h0_statistics(scen, [spec], 20_000, SEED + 5,
+                                           engine=engine)[spec.label]
     gap = abs(stats[0.1].mean() - stats[0.95].mean())
     se = math.hypot(*(v.std(ddof=1) / math.sqrt(v.size)
                       for v in stats.values()))
@@ -276,7 +286,7 @@ _C6_NOTE = (
     "tighter than the true finite-size deviation of this one variant.")
 
 
-def test_c06_roc_matches_theory():
+def test_c06_roc_matches_theory(engine):
     """Monte Carlo detection probability of the three loaded variants
     tracks the asymptotic Swerling 0 and Swerling I curves within 0.03
     wherever the theory curve is between 0.1 and 0.9."""
@@ -288,10 +298,10 @@ def test_c06_roc_matches_theory():
     pfa = 1e-3
     taus = harness.calibrate_threshold(TrialConfig(
         scenario=scen, detector=specs, trials=100_000,
-        master_seed=SEED + 6, pfa_pre=pfa))
+        master_seed=SEED + 6, pfa_pre=pfa), engine=engine)
     ev = harness.pd_evaluator(TrialConfig(
         scenario=scen, detector=specs, trials=10_000,
-        master_seed=SEED + 6, pfa_pre=pfa), stream=1)
+        master_seed=SEED + 6, pfa_pre=pfa), stream=1, engine=engine)
     worst = {sp.kind: (0.0, "") for sp in specs}
     points = 0
     models = (("swerling0", theory.roc_swerling0),
@@ -353,7 +363,7 @@ The seed set here was fixed before any full-budget run and the result is
 reported as drawn."""
 
 
-def test_c07_loss_tables():
+def test_c07_loss_tables(engine):
     """Detection-loss tables for both clutter families at K=48 and K=28,
     cell-by-cell against the pinned values, plus Swerling 0 vs I parity.
 
@@ -389,7 +399,7 @@ def test_c07_loss_tables():
                         category=RuntimeWarning)
                     rows = harness.detection_loss_table(
                         make(24, K), specs, 1e-3, thr_trials, pd_trials,
-                        master_seed=SEED + 7 + j + 100 * si)
+                        master_seed=SEED + 7 + j + 100 * si, engine=engine)
                 for r in rows:
                     if r["kind"] != detectors.NP:
                         key = (r["kind"], r["target"])

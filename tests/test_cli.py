@@ -1,13 +1,15 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dlamf import cli, harness, rmt
+from dlamf import blas, cli, harness, rmt
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import NumericalError
 
@@ -356,7 +358,7 @@ class TestReproduce:
         row = cli.Curves((("", 12, 24, 20.0),), 10.0,
                          ("np", "opt-cfar-dl-scmf"))
         run = cli._Run([], tmp_path)
-        cli._curves(run, "figx", row, {"threshold": 200, "pd": 32}, 1, 1,
+        cli._curves(run, "figx", row, {"threshold": 200, "pd": 32}, 1, None,
                     0.25)
         assert len(calls) == 2
         assert len(run.files) == 4
@@ -381,6 +383,74 @@ class TestReproduce:
         assert summary["kappa_at_lambda_0"] == pytest.approx(0.9243,
                                                              abs=1e-3)
         assert summary["crossing"] is None  # stays above 1 - c here
+
+
+class TestEngine:
+    """Each command runs on one harness.Engine: at most one worker pool,
+    none left after main returns, and the bits of --workers 1."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_reproduce_item_starts_one_pool(self, tmp_path, monkeypatch):
+        # fig2: two panels, each a calibration and 21 SCNR points
+        pools = []
+
+        class Counted(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(cli, "FAST_BUDGETS", TINY_BUDGETS)
+        assert cli.main(["reproduce", "fig2", "--fast", "--pfa", "0.05",
+                         "--workers", "2", "--out", str(tmp_path)]) == 0
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("extra, rc, kind", [
+        (["--pd", "0.01"], 3, "numerical"),   # pd never falls below 0.01
+        (["--pd", "1.5"], 2, "config")])      # after both passes ran
+    def test_no_workers_left_after_error(self, tmp_path, capsys, extra, rc,
+                                         kind):
+        assert cli.main(["loss-table", "--config", TOEPLITZ,
+                         "--detector", "scm-amf", "--pfa", "1e-1",
+                         "--threshold-trials", "400", "--trials", "200",
+                         "--workers", "2", "--out", str(tmp_path)]
+                        + extra) == rc
+        assert _stderr_json(capsys)["kind"] == kind
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, extra, name", [
+        ("threshold", ["--trials", "401"], "thresholds.csv"),
+        ("pd-sweep", ["--threshold-trials", "401", "--trials", "33",
+                      "--scnr-db", "0:5:10"], "pd_dl-amf_lam_1.5.csv"),
+        ("loss-table", ["--threshold-trials", "401", "--trials", "101"],
+         "loss_table.csv")])
+    def test_default_workers_byte_identical(self, tmp_path, command, extra,
+                                            name):
+        argv = [command, "--config", TOEPLITZ, "--detector",
+                "np,dl-amf,cfar-el-amf", "--lambda", "1.5", "--pfa", "1e-1",
+                "--seed", "9", *extra]
+        assert cli.main(argv + ["--workers", "1",
+                                "--out", str(tmp_path / "one")]) == 0
+        assert cli.main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "default" / name).read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        want = len(os.sched_getaffinity(0)) \
+            if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        monkeypatch.setattr(blas, "pools", lambda: {"numpy": None})
+        assert cli.build_parser().parse_args(
+            ["reproduce", "fig1", "--out", "x"]).workers == want
+
+    def test_one_worker_without_blas_pools(self, monkeypatch):
+        # workers whose BLAS pools cannot be pinned could oversubscribe
+        monkeypatch.setattr(blas, "pools", lambda: {})
+        assert cli.build_parser().parse_args(
+            ["reproduce", "fig1", "--out", "x"]).workers == 1
 
 
 # Every reproduce item at tiny budgets; pins the output names in order, the

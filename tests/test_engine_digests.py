@@ -31,7 +31,8 @@ def test_smoke():
     assert set(digests) == set(_load().SETS)
     for name, runs in digests.items():
         assert [r[:2] for r in runs] == [("workers=1", "chunk=4096"),
-                                         ("workers=2", "chunk=21")], name
+                                         ("workers=2", "chunk=21"),
+                                         ("engine=2", "chunk=4096")], name
         assert len({r[2] for r in runs}) == 1, name
     name, digest = lines[-1].rsplit(" ", 1)
     assert name.startswith("evaluate_statistic") and len(digest) == 64
@@ -40,8 +41,8 @@ def test_smoke():
 def test_disagreement_exits_1(monkeypatch, capsys):
     mod = _load()
     monkeypatch.setattr(mod, "engine_digest",
-                        lambda scen, specs, trials, workers, chunk:
-                        str(workers))
+                        lambda scen, specs, trials, workers, chunk,
+                        engine=None: str(workers))
     monkeypatch.setattr(mod, "scalar_digest", lambda scen, specs: "0")
     assert mod.main(["--trials", "6"]) == 1
     assert "digests differ" in capsys.readouterr().err

@@ -4,13 +4,15 @@ import multiprocessing
 import os
 import tracemalloc
 import typing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlamf import blas, detectors, estimators, harness, optimizer, theory
+from dlamf import (blas, detectors, estimators, harness, optimizer, rmt,
+                   theory)
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
 from dlamf.estimators import _loaded_rows, _spectral_rows
@@ -622,6 +624,46 @@ class TestDeterminism:
             for lbl in a:
                 np.testing.assert_array_equal(a[lbl], b[lbl])
 
+    @pytest.mark.parametrize("specs", [_all_specs, _fixed_specs],
+                             ids=["spectral", "cholesky"])
+    @pytest.mark.parametrize("trials, workers", [(3, 5), (301, 2), (7, 3)])
+    def test_engine_split_invariant(self, scen_n24_k48, specs, trials,
+                                    workers):
+        # an engine of several workers cuts chunks of ceil(trials /
+        # workers) trials: fewer trials than workers, and trials that the
+        # workers do not divide, keep the bits of one in-process chunk
+        cfg = TrialConfig(scen_n24_k48, specs(), trials, 5)
+        want = h0_statistics(scen_n24_k48, specs(), trials, master_seed=5)
+        ev = pd_evaluator(cfg)
+        with harness.Engine(workers) as engine:
+            got = h0_statistics(scen_n24_k48, specs(), trials,
+                                master_seed=5, engine=engine)
+            ev_got = pd_evaluator(cfg, engine=engine)
+        np.testing.assert_array_equal(ev_got.amp, ev.amp)
+        for lbl in want:
+            np.testing.assert_array_equal(got[lbl], want[lbl])
+            for a, b in zip(ev_got.coeffs[lbl], ev.coeffs[lbl]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_engine_keeps_one_pool(self, scen_n24_k48):
+        spec = [DetectorSpec("scm-amf")]
+        with harness.Engine(2) as engine:
+            h0_statistics(scen_n24_k48, spec, 10, 5, engine=engine)
+            pool = engine.pool
+            pd_vs_scnr_sweep(TrialConfig(scen_n24_k48, spec, 10, 5),
+                             {"scm-amf": 1.0}, [0.0, 5.0], "swerling0",
+                             engine=engine)
+            assert pool is not None and engine.pool is pool
+        assert engine.pool is None
+        assert multiprocessing.active_children() == []
+        with harness.Engine(1) as engine:
+            h0_statistics(scen_n24_k48, spec, 10, 5, engine=engine)
+            assert engine.pool is None
+
+    def test_engine_needs_a_worker(self):
+        with pytest.raises(ConfigError, match="workers"):
+            harness.Engine(0)
+
     def test_streams_differ(self, scen_n24_k48):
         spec = [DetectorSpec("np")]
         a = h0_statistics(scen_n24_k48, spec, 50, master_seed=5, stream=0)
@@ -661,6 +703,39 @@ def test_workers_run_one_blas_thread(scen_n24_k48, tmp_path, monkeypatch):
     for counts in reports:
         assert counts == {"scipy": 1, "numpy": 1}
     assert _thread_counts() == before
+
+
+class TestDesignConstants:
+    """A design constant out of floating-point range raises on the batch
+    and the scalar path alike, instead of making every statistic NaN."""
+
+    @staticmethod
+    def _both_paths(scen, spec):
+        R = scen.covariance()
+        with pytest.raises(NumericalError) as batch:
+            h0_statistics(scen, [spec], 64, master_seed=1)
+        ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(1, 0, 0))
+        with pytest.raises(NumericalError) as scalar:
+            detectors.evaluate_statistic(spec, ds.y0, scen.steering, scen.K,
+                                         scm=scm(ds), R=R)
+        assert str(batch.value) == str(scalar.value)
+        return str(batch.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_oracle_mu0_underflow(self, scen_n24_k48):
+        # at lam = 1e200 xi and gamma underflow and mu0 comes out 0
+        scen = scen_n24_k48
+        with pytest.raises(NumericalError, match="mu0"):
+            rmt.deterministic_equivalents(scen.covariance(), scen.steering,
+                                          [1.5, 1e200], scen.K)
+        msg = self._both_paths(scen, DetectorSpec("cfar-dl-scmf", lam=1e200))
+        assert "mu0" in msg
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_q_overflow(self):
+        # subnormal powers: s^H R^-1 s overflows
+        scen = toeplitz_scenario(24, 48, clutter_power=1e-309, noise=1e-310)
+        assert "q = s^H R^-1 s" in self._both_paths(scen, DetectorSpec("np"))
 
 
 class TestChunkMemory:
@@ -796,17 +871,22 @@ class TestPdEvaluator:
                 scm=scm(ds))
             assert got[t] == pytest.approx(ref, rel=1e-7)
 
-    # the oracle mu0 underflows: every statistic is inf at 1e160 and NaN
-    # at 1e200, and Pd must not count them as detections or misses
+    # the oracle mu0 underflows to 0 at these loadings, which made every
+    # statistic inf or NaN; the plan now refuses it before any statistic
+    # is formed. Statistics at an infinite SCNR are still NaN, and Pd must
+    # not count them as detections or misses
     @pytest.mark.parametrize("lam", [1e160, 1e200])
     def test_non_finite_statistics_rejected(self, scen_n24_k48, lam):
         cfg = TrialConfig(scen_n24_k48, DetectorSpec("cfar-dl-scmf", lam),
                           trials=200, master_seed=0)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="mu0"):
             calibrate_threshold(cfg)
-        ev = pd_evaluator(cfg)
+        with pytest.raises(NumericalError, match="mu0"):
+            pd_evaluator(cfg)
+        spec = DetectorSpec("cfar-dl-scmf", 1.5)
+        ev = pd_evaluator(replace(cfg, detector=spec))
         with pytest.raises(NumericalError, match="200 of 200"):
-            ev.pd(cfg.detector.label, 1.0, 1.0, "swerling0")
+            ev.pd(spec.label, 1.0, math.inf, "swerling0")
 
     def test_unknown_target_model(self, scen_n24_k48):
         cfg = TrialConfig(scen_n24_k48, DetectorSpec("np"), trials=10,
