@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the trial engine's outputs, one line per
-(detector set, workers, chunk), to check that a change leaves its bits alone.
+(detector set, engine), to check that a change leaves its bits alone.
 
 Usage: PYTHONPATH=src python3 scripts/engine_digests.py [--trials 512]
 
-Each set runs at workers=1 with the default chunk, and at workers=2 with a
-chunk that splits the trials into at least three chunks. Where the tree has
-harness.Engine, each set runs a third time on one engine of two workers
-shared by every set, with the default chunk, which the engine cuts to
-ceil(trials / 2) (the "engine=2" lines). A digest covers the h0 statistics
-of h0_statistics and the (alpha, beta, norm) coefficients and amplitudes of
-one pd_evaluator pass, for every detector of the set. A last line digests
-evaluate_statistic for every kind on five trials.
+Each set runs on three engines, of 1, 2 and 3 workers, each shared by every
+set. An engine cuts a run into chunks of min(DEFAULT_CHUNK, ceil(trials /
+workers)) trials, so the default 512 trials run as one chunk in process,
+two chunks on a pool and three chunks on a pool. A digest covers the h0
+statistics of h0_statistics and the (alpha, beta, norm) coefficients and
+amplitudes of one pd_evaluator pass, for every detector of the set. A last
+line digests evaluate_statistic for every kind on five trials.
 
 Run it with PYTHONPATH at two source trees: equal lines mean equal bits.
-The script reads only names that the engine has had since the one-pass
-coefficients, and the engine lines where it exists, so an older tree prints
-its own baseline. Exits 1 when the lines of one set disagree, since the
-reproducibility contract makes the statistics independent of the worker
-count, the chunk size and the engine.
+The script reaches the engine only through harness.Engine and the engine
+keyword of the trial functions. Exits 1 when the lines of one set
+disagree, since the reproducibility contract makes the statistics
+independent of the worker count and the chunk cut.
 """
 
 import argparse
@@ -36,6 +34,7 @@ from dlamf.scenario import (LowRankClutter, Scenario, Swerling0,
 
 SEED = 11
 LAM = 1.5
+WORKERS = (1, 2, 3)
 
 
 def _toeplitz(N, K):
@@ -70,12 +69,10 @@ SETS = {
 }
 
 
-def engine_digest(scen, specs, trials, workers, chunk, engine=None):
-    on = {} if engine is None else {"engine": engine}
-    stats = harness.h0_statistics(scen, specs, trials, SEED, workers=workers,
-                                  chunk=chunk, **on)
-    ev = harness.pd_evaluator(TrialConfig(scen, specs, trials, SEED,
-                                          workers=workers, chunk=chunk), **on)
+def engine_digest(scen, specs, trials, engine):
+    stats = harness.h0_statistics(scen, specs, trials, SEED, engine=engine)
+    ev = harness.pd_evaluator(TrialConfig(scen, specs, trials, SEED),
+                              engine=engine)
     h = hashlib.sha256()
     for sp in specs:
         h.update(sp.label.encode())
@@ -104,26 +101,18 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--trials", type=int, default=512)
     args = ap.parse_args(argv)
-    runs = [(1, harness.DEFAULT_CHUNK), (2, max(1, args.trials // 3))]
     status = 0
-    shared = getattr(harness, "Engine", None)
-    with shared(2) if shared else contextlib.nullcontext() as engine:
+    with contextlib.ExitStack() as stack:
+        engines = [stack.enter_context(harness.Engine(w)) for w in WORKERS]
         for name, (scen, specs) in SETS.items():
             digests = set()
-            for workers, chunk in runs:
-                d = engine_digest(scen, specs, args.trials, workers, chunk)
+            for engine in engines:
+                d = engine_digest(scen, specs, args.trials, engine)
                 digests.add(d)
-                print(f"{name} workers={workers} chunk={chunk} {d}",
-                      flush=True)
-            if engine is not None:
-                d = engine_digest(scen, specs, args.trials, 1,
-                                  harness.DEFAULT_CHUNK, engine=engine)
-                digests.add(d)
-                print(f"{name} engine=2 chunk={harness.DEFAULT_CHUNK} {d}",
-                      flush=True)
+                print(f"{name} engine={engine.workers} {d}", flush=True)
             if len(digests) > 1:
-                print(f"{name}: digests differ across workers, chunks and "
-                      f"engines", file=sys.stderr)
+                print(f"{name}: digests differ across engines",
+                      file=sys.stderr)
                 status = 1
     scen, specs = SETS["all-kinds-toeplitz-n24"]
     print(f"evaluate_statistic all-kinds-toeplitz-n24 "

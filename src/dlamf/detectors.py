@@ -368,7 +368,13 @@ def _cholesky_forms(A, lam, plan, with_mu0, F):
     if with_mu0:
         tr, xn = _inverse_norms(L, uh)
         d1 = 1.0 - N / plan.K + lam * tr / plan.K
-        mu0h = (beta - lam * xn) / d1 ** 2
+        num = beta - lam * xn
+        # num keeps about 16 + log10(num / beta) of beta's digits
+        if not (num > 1e-8 * beta).all():
+            raise NumericalError(
+                f"plug-in mu0 at loading {lam:g} keeps under 8 digits after "
+                "cancellation; the loading is too large for this SCM")
+        mu0h = num / d1 ** 2
     return alpha, beta, mu0h
 
 

@@ -29,13 +29,13 @@ amplitudes outlive a block, so a chunk of B trials holds one block's
 buffers plus O(B) numbers at any array size. evaluate_statistic runs the
 same two steps on a block of one trial.
 
-Chunks run on an Engine, which holds at most one pool of worker processes
-for its with block. Each public function that runs trials takes one as its
-last keyword, engine, or opens one of cfg.workers for the call; the CLI
-opens one per command.
+An Engine is the one place that schedules a run: chunks of
+min(DEFAULT_CHUNK, ceil(trials / workers)) trials, in process or on the one
+pool of workers it holds for its with block. A public function that runs
+trials takes one as its last keyword, engine, or else runs in process.
 
 Reproducibility: for a given (seed, stream, trial, detector set) every
-statistic is bit-identical for every worker count, chunk size and block
+statistic is bit-identical for every worker count, chunk cut and block
 size. Two detector sets that take different routes may differ in the last
 bits of a fixed-loading kind's statistic.
 """
@@ -100,16 +100,15 @@ def ks_distance(samples, cdf):
 
 @dataclass
 class TrialConfig:
-    """One Monte Carlo run: scenario, detector(s), budget, seed; workers
-    sizes the Engine opened for a call given none."""
+    """One Monte Carlo run: scenario, detector(s), budget and seed; an
+    Engine schedules it. A run of one DetectorSpec takes and returns bare
+    values, a run of several {label: value} (by_label, unwrap)."""
 
     scenario: object
     detector: object  # DetectorSpec or sequence of them
     trials: int
     master_seed: int = 0
     pfa_pre: float = 1e-3
-    workers: int = 1
-    chunk: int = DEFAULT_CHUNK
     opt_config: OptConfig | None = None
 
     def __post_init__(self):
@@ -117,18 +116,26 @@ class TrialConfig:
             raise ConfigError("trials must be >= 1")
         if not 0.0 < self.pfa_pre < 1.0:
             raise ConfigError(f"pfa must lie in (0, 1), got {self.pfa_pre}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.chunk < 1:
-            raise ConfigError("chunk must be >= 1")
+
+    @property
+    def single(self):
+        return isinstance(self.detector, DetectorSpec)
 
     def spec_list(self):
-        if isinstance(self.detector, DetectorSpec):
+        if self.single:
             return [self.detector]
         specs = list(self.detector)
         if not specs:
             raise ConfigError("at least one detector is required")
         return specs
+
+    def by_label(self, value):
+        """value as {label: value}; a run of one spec gives it bare."""
+        return {self.detector.label: value} if self.single else dict(value)
+
+    def unwrap(self, by_label):
+        """by_label's one value for a run of one spec, else by_label."""
+        return by_label[self.detector.label] if self.single else by_label
 
 
 # --- batched evaluation ----------------------------------------------------
@@ -268,10 +275,10 @@ def _merge(parts):
 
 
 class Engine:
-    """Runs the chunks of trial runs, in process or on one pool of workers
-    that it starts on its first run of several chunks. Use it in a with
-    block: the pool shuts down when the outermost one ends, also when it
-    raises, so every function can enter the engine it is given."""
+    """Schedules trial runs, in process or on one pool of workers that it
+    starts on its first run of several chunks. Calls in one with block
+    share the pool, which shuts down when the outermost block ends, also
+    when it raises; a run outside any enters the engine for itself."""
 
     def __init__(self, workers=1):
         if workers < 1:
@@ -288,34 +295,30 @@ class Engine:
             self.pool.shutdown()
             self.pool = None
 
-    def map(self, fn, args):
-        """[fn(*a) for a in args], in order, in the pool when it helps."""
-        if self.workers == 1 or len(args) == 1:
-            return [fn(*a) for a in args]
-        # one BLAS thread per worker: the workers already fill the CPUs
-        self.pool = self.pool or ProcessPoolExecutor(
-            self.workers, initializer=blas.pin_one_thread)
-        return list(self.pool.map(fn, *zip(*args)))
-
-
-def _run_batches(plan, cfg, stream, engine=None):
-    """_eval_chunk over cfg's trials on engine (one of cfg.workers when
-    None), merged in order: chunks of min(cfg.chunk, ceil(trials /
-    workers)) trials, so every worker gets one."""
-    with engine or Engine(cfg.workers) as eng:
-        chunk = min(cfg.chunk, -(-cfg.trials // eng.workers))
-        return _merge(eng.map(_eval_chunk, [
-            (plan, cfg.master_seed, stream, lo, min(lo + chunk, cfg.trials))
-            for lo in range(0, cfg.trials, chunk)]))
+    def run(self, plan, master_seed, stream, trials):
+        """_eval_chunk over trials [0, trials) merged in order, in chunks of
+        min(DEFAULT_CHUNK, ceil(trials / workers)): one or more per worker."""
+        chunk = min(DEFAULT_CHUNK, -(-trials // self.workers))
+        cuts = [(plan, master_seed, stream, lo, min(lo + chunk, trials))
+                for lo in range(0, trials, chunk)]
+        with self:
+            if self.workers == 1 or len(cuts) == 1:
+                return _merge([_eval_chunk(*c) for c in cuts])
+            # one BLAS thread per worker: the workers already fill the CPUs
+            self.pool = self.pool or ProcessPoolExecutor(
+                self.workers, initializer=blas.pin_one_thread)
+            return _merge(list(self.pool.map(_eval_chunk, *zip(*cuts))))
 
 
 def h0_statistics(scenario, specs, trials, master_seed, stream=0, workers=1,
-                  chunk=DEFAULT_CHUNK, opt_config=None, engine=None):
-    """Null-hypothesis statistics for each detector, {label: array}."""
+                  opt_config=None, engine=None):
+    """Null-hypothesis statistics for each detector, {label: array}; workers
+    is shorthand for engine=Engine(workers)."""
     cfg = TrialConfig(scenario, list(specs), trials, master_seed,
-                      workers=workers, chunk=chunk, opt_config=opt_config)
+                      opt_config=opt_config)
     plan = _BatchPlan(scenario, cfg.spec_list(), opt_config)
-    coeffs, _ = _run_batches(plan, cfg, stream, engine)
+    coeffs, _ = (engine or Engine(workers)).run(plan, master_seed, stream,
+                                                 trials)
     return {label: _statistic(c, 0.0) for label, c in coeffs.items()}
 
 
@@ -373,15 +376,11 @@ def calibrate_threshold(cfg, stream=0, engine=None):
     Returns {label: ThresholdResult} for multi-detector configs, a single
     ThresholdResult when cfg.detector is one spec.
     """
-    specs = cfg.spec_list()
-    stats = h0_statistics(cfg.scenario, specs, cfg.trials, cfg.master_seed,
-                          stream=stream, workers=cfg.workers, chunk=cfg.chunk,
+    stats = h0_statistics(cfg.scenario, cfg.spec_list(), cfg.trials,
+                          cfg.master_seed, stream=stream,
                           opt_config=cfg.opt_config, engine=engine)
-    res = {sp.label: threshold_from_stats(stats[sp.label], cfg.pfa_pre)
-           for sp in specs}
-    if isinstance(cfg.detector, DetectorSpec):
-        return res[cfg.detector.label]
-    return res
+    return cfg.unwrap({label: threshold_from_stats(x, cfg.pfa_pre)
+                       for label, x in stats.items()})
 
 
 class PdEvaluator:
@@ -422,7 +421,8 @@ def pd_evaluator(cfg, stream=1, plan=None, engine=None):
     """
     if plan is None:
         plan = _BatchPlan(cfg.scenario, cfg.spec_list(), cfg.opt_config)
-    coeffs, amp = _run_batches(plan, cfg, stream, engine)
+    coeffs, amp = (engine or Engine()).run(plan, cfg.master_seed, stream,
+                                           cfg.trials)
     return PdEvaluator(coeffs, amp, plan.q, cfg.trials)
 
 
@@ -432,10 +432,10 @@ def estimate_pd(cfg, tau, scnr, target_model, stream=1, engine=None):
     Multi-detector configs take tau as {label: tau} and return dicts.
     """
     ev = pd_evaluator(cfg, stream=stream, engine=engine)
-    if isinstance(cfg.detector, DetectorSpec):
-        return ev.pd(cfg.detector.label, tau, scnr, target_model)
-    return {lbl: ev.pd(lbl, tau[lbl], scnr, target_model)
-            for lbl in (sp.label for sp in cfg.spec_list())}
+    taus = cfg.by_label(tau)
+    return cfg.unwrap({sp.label: ev.pd(sp.label, taus[sp.label], scnr,
+                                       target_model)
+                       for sp in cfg.spec_list()})
 
 
 def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1,
@@ -448,8 +448,7 @@ def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1,
     and the result is {model: what one model would return}.
     """
     specs = cfg.spec_list()
-    single = isinstance(cfg.detector, DetectorSpec)
-    taus = {specs[0].label: tau} if single else dict(tau)
+    taus = cfg.by_label(tau)
     models = target_model if isinstance(target_model, tuple) \
         else (target_model,)
     grid = np.asarray(scnr_db_grid, dtype=float)
@@ -457,18 +456,16 @@ def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1,
     pds = {(t, sp.label): np.empty((3, grid.shape[0]))
            for t in models for sp in specs}
     plan = _BatchPlan(cfg.scenario, specs, cfg.opt_config)
-    with engine or Engine(cfg.workers) as eng:
-        for i, db in enumerate(grid):
-            ev = pd_evaluator(cfg, stream_base + i, plan, eng)
-            for (t, lbl), out in pds.items():
-                p, ci = ev.pd(lbl, taus[lbl], float(db_to_linear(db)), t)
-                out[:, i] = p, *ci
+    for i, db in enumerate(grid):
+        ev = pd_evaluator(cfg, stream_base + i, plan, engine)
+        for (t, lbl), out in pds.items():
+            p, ci = ev.pd(lbl, taus[lbl], float(db_to_linear(db)), t)
+            out[:, i] = p, *ci
     curves = {t: {} for t in models}
     for (t, lbl), (y, lo, hi) in pds.items():
         curves[t][lbl] = Curve(x=grid, y=y, ci_lo=lo, ci_hi=hi, label=lbl,
                                meta={"target": t, "tau": taus[lbl]})
-    if single:
-        curves = {t: c[specs[0].label] for t, c in curves.items()}
+    curves = {t: cfg.unwrap(c) for t, c in curves.items()}
     return curves if isinstance(target_model, tuple) \
         else curves[target_model]
 
@@ -515,8 +512,8 @@ def scnr_at_pd(cfg, tau, pd_target, target_model, stream=1,
 
 def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
                          pd_trials, master_seed, pd_target=0.5,
-                         target_models=("swerling0", "swerling1"), workers=1,
-                         chunk=DEFAULT_CHUNK, opt_config=None, engine=None):
+                         target_models=("swerling0", "swerling1"),
+                         opt_config=None, engine=None):
     """SCNR loss of each detector against the clairvoyant filter.
 
     One h0 pass calibrates every threshold, one coefficient pass serves all
@@ -527,14 +524,11 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
     specs = list(specs)
     if not any(sp.kind == NP for sp in specs):
         specs = [DetectorSpec(NP)] + specs
-    cal_cfg = TrialConfig(scenario=scenario, detector=specs,
-                          trials=threshold_trials, master_seed=master_seed,
-                          pfa_pre=pfa_pre, workers=workers, chunk=chunk,
-                          opt_config=opt_config)
+    cal_cfg = TrialConfig(scenario, specs, threshold_trials, master_seed,
+                          pfa_pre, opt_config)
     pd_cfg = replace(cal_cfg, trials=pd_trials)
-    with engine or Engine(workers) as eng:
-        taus = calibrate_threshold(cal_cfg, engine=eng)
-        ev = pd_evaluator(pd_cfg, stream=1, engine=eng)
+    taus = calibrate_threshold(cal_cfg, engine=engine)
+    ev = pd_evaluator(pd_cfg, stream=1, engine=engine)
     rows = []
     for target in target_models:
         ref_db = None
@@ -554,15 +548,13 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
 
 def empirical_pdf(cfg, bins=80, value_range=None, stream=0, engine=None):
     """Histogram of each detector's h0 statistic, {label: Histogram}."""
-    specs = cfg.spec_list()
-    stats = h0_statistics(cfg.scenario, specs, cfg.trials, cfg.master_seed,
-                          stream=stream, workers=cfg.workers, chunk=cfg.chunk,
+    stats = h0_statistics(cfg.scenario, cfg.spec_list(), cfg.trials,
+                          cfg.master_seed, stream=stream,
                           opt_config=cfg.opt_config, engine=engine)
     out = {}
-    for sp in specs:
-        dens, edges = np.histogram(stats[sp.label], bins=bins,
-                                   range=value_range, density=True)
-        out[sp.label] = Histogram(bin_edges=edges, density=dens,
-                                  n_samples=cfg.trials, label=sp.label)
-    return out[specs[0].label] if isinstance(cfg.detector, DetectorSpec) \
-        else out
+    for label, x in stats.items():
+        dens, edges = np.histogram(x, bins=bins, range=value_range,
+                                   density=True)
+        out[label] = Histogram(bin_edges=edges, density=dens,
+                               n_samples=cfg.trials, label=label)
+    return cfg.unwrap(out)

@@ -191,10 +191,11 @@ def deterministic_equivalents(R, s, lam, K):
     delta = solve_delta(rho, lams, K)
     w2 = np.abs(R.weights(sv)) ** 2
     den = delta[:, None] * rho + lams[:, None]
-    psi = np.sum(w2 / den, axis=1)
-    xi = np.sum(w2 * rho / den ** 2, axis=1)
-    gamma = delta * delta * np.sum(rho ** 2 / den ** 2, axis=1) / K
-    mu0 = xi / (1.0 - gamma)
+    with np.errstate(over="ignore"):  # require_finite raises below
+        psi = np.sum(w2 / den, axis=1)
+        xi = np.sum(w2 * rho / den ** 2, axis=1)
+        gamma = delta * delta * np.sum(rho ** 2 / den ** 2, axis=1) / K
+        mu0 = xi / (1.0 - gamma)
     zero = lams == 0.0
     if zero.any():
         omc = 1.0 - N / K

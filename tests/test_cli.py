@@ -3,6 +3,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -332,6 +334,23 @@ class TestErrorsAndUsage:
         rc = cli.main(["kappa", "--config", "x", "--out", str(tmp_path)])
         assert rc == 3
         assert _stderr_json(capsys)["kind"] == "numerical"
+
+    def test_overflow_stderr_is_one_json_object(self, tmp_path):
+        # the oracle mu0 overflows at this loading; NumPy's overflow
+        # warnings must not reach stderr ahead of the error record, so the
+        # command runs in a process of its own with Python's default filters
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-m", "dlamf.cli", "threshold", "--config",
+             TOEPLITZ_N24, "--detector", "cfar-dl-scmf", "--lambda", "1e160",
+             "--trials", "100", "--workers", "1", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300, check=False)
+        assert out.returncode == 3
+        assert len(out.stderr.splitlines()) == 1, out.stderr
+        assert json.loads(out.stderr)["kind"] == "numerical"
 
     def test_unknown_reproduce_item(self, tmp_path, capsys):
         rc = cli.main(["reproduce", "fig99", "--out", str(tmp_path)])

@@ -4,15 +4,17 @@ import multiprocessing
 import os
 import tracemalloc
 import typing
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlamf import (blas, detectors, estimators, harness, optimizer, rmt,
-                   theory)
+from dlamf import (blas, cli, detectors, estimators, harness, optimizer,
+                   rmt, theory)
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
 from dlamf.estimators import _loaded_rows, _spectral_rows
@@ -78,18 +80,14 @@ class TestTrialConfig:
         with pytest.raises(ConfigError):
             TrialConfig(scen_n24_k48, spec, trials=10, pfa_pre=1.5)
         with pytest.raises(ConfigError):
-            TrialConfig(scen_n24_k48, spec, trials=10, workers=0)
-        with pytest.raises(ConfigError):
-            TrialConfig(scen_n24_k48, spec, trials=10, chunk=0)
-        with pytest.raises(ConfigError):
             TrialConfig(scen_n24_k48, [], trials=10).spec_list()
 
-    @pytest.mark.parametrize("trials,chunk", [(0, 4), (8, 0)])
-    def test_h0_statistics_validates(self, scen_n24_k48, trials, chunk):
-        # TrialConfig's checks, before the engine splits trials into chunks
+    @pytest.mark.parametrize("trials,workers", [(0, 4), (8, 0)])
+    def test_h0_statistics_validates(self, scen_n24_k48, trials, workers):
+        # TrialConfig's and Engine's checks, before any trial is drawn
         with pytest.raises(ConfigError):
             h0_statistics(scen_n24_k48, [DetectorSpec("np")], trials,
-                          master_seed=0, chunk=chunk)
+                          master_seed=0, workers=workers)
 
     def test_type_hints_resolve(self):
         assert typing.get_type_hints(TrialConfig)["opt_config"] == \
@@ -559,34 +557,38 @@ class TestEdgeProperties:
 
 
 class TestDeterminism:
-    def test_worker_count_invariant(self, scen_n24_k48):
-        self._workers_agree(scen_n24_k48,
+    def test_worker_count_invariant(self, scen_n24_k48, monkeypatch):
+        self._workers_agree(monkeypatch, scen_n24_k48,
                             [DetectorSpec("np"), DetectorSpec("scm-amf")])
 
-    def test_worker_count_invariant_cholesky_route(self, scen_n24_k48):
-        self._workers_agree(scen_n24_k48, _fixed_specs())
+    def test_worker_count_invariant_cholesky_route(self, scen_n24_k48,
+                                                   monkeypatch):
+        self._workers_agree(monkeypatch, scen_n24_k48, _fixed_specs())
 
-    def test_chunk_size_invariant(self, scen_n24_k48):
-        self._chunks_agree(scen_n24_k48, [DetectorSpec("dl-amf", lam=1.5)])
+    def test_chunk_size_invariant(self, scen_n24_k48, monkeypatch):
+        self._chunks_agree(monkeypatch, scen_n24_k48,
+                           [DetectorSpec("dl-amf", lam=1.5)])
 
-    def test_chunk_size_invariant_cholesky_route(self, scen_n24_k48):
-        self._chunks_agree(scen_n24_k48, _fixed_specs())
+    def test_chunk_size_invariant_cholesky_route(self, scen_n24_k48,
+                                                 monkeypatch):
+        self._chunks_agree(monkeypatch, scen_n24_k48, _fixed_specs())
 
     @pytest.mark.parametrize("specs", [_all_specs, _fixed_specs],
                              ids=["spectral", "cholesky"])
-    def test_chunk_size_invariant_at_scale(self, scen_n24_k48, specs):
+    def test_chunk_size_invariant_at_scale(self, scen_n24_k48, specs,
+                                           monkeypatch):
         # full chunks of 1000 and 4096 trials hold complex temporaries
         # above NumPy's 256 KiB elision threshold; the last partial chunk
         # does not, and neither does a partial block
-        self._chunks_agree(scen_n24_k48, specs(), trials=4096,
+        self._chunks_agree(monkeypatch, scen_n24_k48, specs(), trials=4096,
                            chunks=(4096, 1000, 777))
 
     @pytest.mark.parametrize("specs", [_all_specs, _fixed_specs],
                              ids=["spectral", "cholesky"])
-    def test_chunk_size_invariant_n64(self, specs):
+    def test_chunk_size_invariant_n64(self, specs, monkeypatch):
         # at N = 64 a full block of per-trial rows is itself 256 KiB
-        self._chunks_agree(toeplitz_scenario(64, 96), specs(), trials=300,
-                           chunks=(300, 257))
+        self._chunks_agree(monkeypatch, toeplitz_scenario(64, 96), specs(),
+                           trials=300, chunks=(300, 257))
 
     @pytest.mark.parametrize("specs", [_all_specs, _fixed_specs],
                              ids=["spectral", "cholesky"])
@@ -608,19 +610,22 @@ class TestDeterminism:
                         a, b, err_msg=f"{lbl} {name} block {block}")
 
     @staticmethod
-    def _workers_agree(scen, specs):
-        a = h0_statistics(scen, specs, 600, master_seed=5, workers=1,
-                          chunk=128)
-        b = h0_statistics(scen, specs, 600, master_seed=5, workers=3,
-                          chunk=128)
+    def _workers_agree(monkeypatch, scen, specs):
+        monkeypatch.setattr(harness, "DEFAULT_CHUNK", 128)
+        a = h0_statistics(scen, specs, 600, master_seed=5,
+                          engine=harness.Engine(1))
+        b = h0_statistics(scen, specs, 600, master_seed=5,
+                          engine=harness.Engine(3))
         for lbl in a:
             np.testing.assert_array_equal(a[lbl], b[lbl])
 
     @staticmethod
-    def _chunks_agree(scen, specs, trials=300, chunks=(64, 300)):
-        a = h0_statistics(scen, specs, trials, master_seed=5, chunk=chunks[0])
+    def _chunks_agree(monkeypatch, scen, specs, trials=300, chunks=(64, 300)):
+        monkeypatch.setattr(harness, "DEFAULT_CHUNK", chunks[0])
+        a = h0_statistics(scen, specs, trials, master_seed=5)
         for chunk in chunks[1:]:
-            b = h0_statistics(scen, specs, trials, master_seed=5, chunk=chunk)
+            monkeypatch.setattr(harness, "DEFAULT_CHUNK", chunk)
+            b = h0_statistics(scen, specs, trials, master_seed=5)
             for lbl in a:
                 np.testing.assert_array_equal(a[lbl], b[lbl])
 
@@ -696,13 +701,79 @@ def test_workers_run_one_blas_thread(scen_n24_k48, tmp_path, monkeypatch):
     before = _thread_counts()
     monkeypatch.setenv("DLAMF_TEST_POOL_DIR", str(tmp_path))
     monkeypatch.setattr(harness, "_eval_chunk", _eval_chunk_reporting)
+    monkeypatch.setattr(harness, "DEFAULT_CHUNK", 50)
     h0_statistics(scen_n24_k48, _fixed_specs(), 400, master_seed=5,
-                  workers=2, chunk=50)
+                  engine=harness.Engine(2))
     reports = [json.loads(p.read_text()) for p in tmp_path.iterdir()]
     assert reports
     for counts in reports:
         assert counts == {"scipy": 1, "numpy": 1}
     assert _thread_counts() == before
+
+
+class _RecordingPool:
+    """ProcessPoolExecutor stand-in that runs its map in process and
+    records each pool it starts by its worker count."""
+
+    started = []
+
+    def __init__(self, workers, initializer=None):
+        self.started.append(workers)
+
+    def map(self, fn, *args):
+        return map(fn, *args)
+
+    def shutdown(self):
+        pass
+
+
+class TestEngineCut:
+    """The chunk cut that the benchmark workloads run does not change."""
+
+    @pytest.fixture
+    def cuts(self, monkeypatch):
+        # chunks record their (lo, hi) and return zeros in no time
+        cuts = []
+
+        def chunk(plan, master_seed, stream, lo, hi):
+            cuts.append((lo, hi))
+            zero = np.zeros(hi - lo, dtype=complex)
+            return {sp.label: (zero, zero, np.ones(hi - lo))
+                    for sp in plan.specs}, zero
+
+        monkeypatch.setattr(harness, "_eval_chunk", chunk)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        return cuts
+
+    def test_h0_cfar8(self, scen_n24_k48, cuts):
+        # 16384 trials at one worker: four chunks of DEFAULT_CHUNK in process
+        specs = ([DetectorSpec("cfar-dl-scmf", lam) for lam in (1.5, 5.0)]
+                 + [DetectorSpec("cfar-dl-amf", 1.5)])
+        h0_statistics(scen_n24_k48, specs, 16384, master_seed=0)
+        assert cuts == [(lo, lo + 4096) for lo in range(0, 16384, 4096)]
+        assert _RecordingPool.started == []
+
+    def test_default_chunk_read_at_call_time(self, scen_n24_k48, cuts,
+                                             monkeypatch):
+        # the chunk-invariance tests set their cuts through the constant
+        monkeypatch.setattr(harness, "DEFAULT_CHUNK", 300)
+        h0_statistics(scen_n24_k48, [DetectorSpec("np")], 700, master_seed=0)
+        assert cuts == [(0, 300), (300, 600), (600, 700)]
+
+    def test_pd_sweep_n48(self, tmp_path, cuts):
+        # dlamf pd-sweep at two workers: 2560 threshold trials in two
+        # chunks of 1280, then 256 trials per SCNR in two of 128, on one pool
+        config = (Path(__file__).resolve().parents[1] / "perfbench"
+                  / "scenarios" / "pd-sweep-n48.json")
+        assert cli.main([
+            "pd-sweep", "--config", str(config), "--detector",
+            "np,scm-amf,dl-amf,cfar-dl-amf,cfar-dl-scmf,persym-amf",
+            "--lambda", "1.5", "--pfa", "0.02", "--threshold-trials", "2560",
+            "--trials", "256", "--scnr-db", "0:5:20", "--seed", "1",
+            "--workers", "2", "--out", str(tmp_path)]) == 0
+        assert cuts == [(0, 1280), (1280, 2560)] + [(0, 128), (128, 256)] * 5
+        assert _RecordingPool.started == [2]
 
 
 class TestDesignConstants:
@@ -736,6 +807,30 @@ class TestDesignConstants:
         # subnormal powers: s^H R^-1 s overflows
         scen = toeplitz_scenario(24, 48, clutter_power=1e-309, noise=1e-310)
         assert "q = s^H R^-1 s" in self._both_paths(scen, DetectorSpec("np"))
+
+    @pytest.mark.parametrize("lam", [1e20, 1e100, 1e150])
+    def test_plug_in_mu0_cancellation(self, scen_n24_k48, lam):
+        # alone, cfar-dl-amf takes the Cholesky route, where mu0_hat's
+        # numerator beta - lam ||u^H L^-1||^2 cancels; unchecked, these
+        # loadings gave inf, 1.3e-84 and negative statistics
+        scen, spec = scen_n24_k48, DetectorSpec("cfar-dl-amf", lam=lam)
+        with pytest.raises(NumericalError, match="cancellation"):
+            h0_statistics(scen, [spec], 64, master_seed=1)
+        ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(1, 0, 0))
+        with pytest.raises(NumericalError, match="cancellation"):
+            detectors.evaluate_statistic(spec, ds.y0, scen.steering, scen.K,
+                                         scm=scm(ds))
+
+    @pytest.mark.parametrize("lam", [1e155, 1e160])
+    def test_equivalents_overflow_warns_not(self, scen_n24_k48, lam):
+        # den ** 2 overflows; the NumericalError, not a RuntimeWarning,
+        # ends the call
+        scen = scen_n24_k48
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="mu0"):
+                rmt.deterministic_equivalents(scen.covariance(),
+                                              scen.steering, lam, scen.K)
 
 
 class TestChunkMemory:
