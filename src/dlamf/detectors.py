@@ -14,12 +14,13 @@ mu0 of rmt, the plug-in mu0_hat, or q = s^H R^{-1} s for np.
 
 A Plan reads the table for a set of detectors: the loadings fixed for the
 run, the per-trial searches, the oracle constants and the route by which
-sample covariances S are reduced. Plan.forms takes a block of trials' S,
-in the corner of a bordered buffer, to (alpha, beta, mu0_hat) at every
-loading in one pass, and Plan.assemble picks each kind's pieces. The
-trial engine (harness) runs these on blocks it draws, evaluate_statistic
-on a block of one trial, so the two agree bit for bit. Oracle kinds see
-the true covariance, adaptive kinds only S.
+sample covariances S are reduced. Its one exit, Plan.coefficients, takes
+a block of trials' S, in the corner of a bordered buffer, to every kind's
+(alpha, beta, norm) in one pass and refuses out-of-range statistics;
+statistic forms |alpha + b beta|^2 / norm. The trial engine (harness)
+calls it on blocks it draws, evaluate_statistic on a block of one trial,
+so the two agree bit for bit and fail alike. Oracle kinds see the true
+covariance, adaptive kinds only S.
 
 The route follows from the detector set alone:
 
@@ -153,8 +154,18 @@ def make_opt_detector(mode):
     raise ConfigError(f"mode must be 'oracle' or 'adaptive', got {mode!r}")
 
 
-# stands in for +inf on the border diagonal of Plan.bordered
+# stands in for +inf on the border diagonal of Plan._border
 _BORDER = 1e200
+_TINY = np.finfo(float).tiny  # the smallest h0 statistic coefficients passes
+
+
+def statistic(coeffs, b=None):
+    """|alpha + b beta|^2 / norm of one kind's (alpha, beta, norm) at
+    target amplitude b, or without b the h0 statistic |alpha|^2 / norm."""
+    alpha, beta, norm = coeffs
+    if b is not None:
+        alpha = alpha + b * beta
+    return np.abs(alpha) ** 2 / norm
 
 
 class Plan:
@@ -170,6 +181,9 @@ class Plan:
 
     def __init__(self, specs, s, K, R=None, opt_config=None, design=None):
         self.specs = list(specs)
+        self.labels = [sp.label for sp in self.specs]
+        if len(set(self.labels)) != len(self.labels):
+            raise ConfigError(f"duplicate detector labels in {self.labels}")
         self.s = steering_entries(s)
         self.N = self.s.shape[0]
         self.K = K
@@ -220,21 +234,13 @@ class Plan:
         return {"zero": 0.0, "fixed": spec.lam,
                 "oracle-opt": self.opt_lambda}.get(source, source)
 
-    def bordered(self, y0, out=None):
-        """(B, N+2, N+2) buffer with the border of [[M, X], [X^H, D]],
-        X = [s, y0] and D = _BORDER I, written below the diagonal only (all
-        Cholesky reads). The caller writes M into the top-left N x N block.
-        out, a buffer of an earlier call (or its leading trials) whose
-        entries outside that block and the border are still zero, is
-        rewritten in place; else a zeroed buffer is allocated.
-        """
-        B, N = y0.shape
-        A = np.zeros((B, N + 2, N + 2), dtype=complex) if out is None \
-            else out
+    def _border(self, A, y0):
+        """Write the border of [[M, X], [X^H, D]], X = [s, y0] and
+        D = _BORDER I, into A below the diagonal (all Cholesky reads)."""
+        N = self.N
         A[:, N, :N] = np.conj(self.s)
         np.conjugate(y0, out=A[:, N + 1, :N])
         A[:, N, N] = A[:, N + 1, N + 1] = _BORDER
-        return A
 
     def factor_buffer(self, B):
         """(B, N+2, N+2) buffer of Fortran-ordered matrices, in which
@@ -242,28 +248,48 @@ class Plan:
         n = self.N + 2
         return np.empty((B, n, n), dtype=complex).transpose(0, 2, 1)
 
-    def forms(self, A, y0, F=None):
-        """(alpha, beta, mu0_hat or None) of a block of trials at every
-        loading of the set, keyed by its fixed value, "el", "adaptive-opt"
-        or "persym".
-
-        A is a bordered buffer of y0 (B, N) holding the trials' SCMs S in
-        its corner; F, a factor_buffer that every factorization of the
-        block overwrites, is reused when given. On the spectral route the
-        EL and opt searches run over the block's rows, each row on its
-        own, and one row kernel call forms every loading as a column of a
-        (B, m) array; unloaded rows must be invertible. Either route leaves
-        S as it found it, and persym-amf then writes the persymmetrized SCM
-        into S's place and factors it there.
+    def coefficients(self, A, y0, F=None):
+        """{label: (alpha, beta, norm)} of every kind on a block of trials
+        y0 (B, N), whose SCMs fill the top-left N x N block of A, a
+        (B, N+2, N+2) buffer zero elsewhere (None when no kind needs an
+        SCM); F, a factor_buffer of at least B trials, is reused when
+        given. A kind whose h0 statistics are not all finite and normal
+        raises NumericalError.
         """
-        N = self.N
+        out, forms = {}, {}
+        # NumPy's warnings are off: each value formed reaches the check
+        with np.errstate(all="ignore"):
+            if self.need_scm:
+                self._border(A, y0)
+                forms = self._forms(A, y0, F)
+            for label, sp in zip(self.labels, self.specs):
+                out[label] = coeffs = self._assemble(sp, forms, y0)
+                h0 = statistic(coeffs)
+                # ufunc reductions: a block of one trial pays no dispatch
+                if not (np.minimum.reduce(h0) >= _TINY
+                        and np.maximum.reduce(h0) < math.inf):
+                    raise NumericalError(
+                        f"{sp.kind} at loading {self.key(sp)} gives zero, "
+                        "subnormal or non-finite statistics; the loading or "
+                        "the powers are out of floating-point range")
+        return out
+
+    def _forms(self, A, y0, F):
+        """(alpha, beta, mu0_hat or None) of the block in A at every
+        loading, keyed by its fixed value, "el", "adaptive-opt" or "persym".
+        The spectral route runs the EL and opt searches row by row, then
+        forms every loading as a column of one (B, m) row kernel call.
+        Either route leaves S as it found it, and persym-amf then writes
+        the persymmetrized SCM into S's place and factors it there.
+        """
+        N, B = self.N, A.shape[0]
         S = A[:, :N, :N]
-        if self.need_factor and F is None:
-            F = self.factor_buffer(A.shape[0])
+        if self.need_factor:
+            F = self.factor_buffer(B) if F is None else F[:B]
         if self.spectral:
             rows = estimators._spectral_rows(S, self.s, y0)
             l, w2 = rows["l"], rows["w2"]
-            cols = {lam: np.full(l.shape[0], lam) for lam in self.fixed_lams}
+            cols = {lam: np.full(B, lam) for lam in self.fixed_lams}
             if self.need_el:
                 cols["el"] = estimators._el_rows(l, self.log_zeta)
             if self.need_opt:
@@ -296,12 +322,8 @@ class Plan:
             out["persym"] = _cholesky_forms(A, 0.0, self, False, F)
         return out
 
-    def assemble(self, spec, forms, y0):
-        """spec's (alpha, beta, norm) rows from the forms of its loading.
-
-        |alpha|^2 / norm is the statistic, and alpha + b beta the filter
-        output when a target of amplitude b adds b s to y0 (B, N).
-        """
+    def _assemble(self, spec, forms, y0):
+        """spec's (alpha, beta, norm) rows from the forms of its loading."""
         kind = KINDS[spec.kind]
         key = self.key(spec)
         if kind.loading == "none":
@@ -401,7 +423,7 @@ def _inverse_norms(L, uh):
 
 def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     """One trial's statistic for a DetectorSpec: the trial engine's
-    Plan.forms and assemble on a block of one trial.
+    Plan.coefficients on a block of one trial.
 
     scm, the N x N sample covariance (scenario.scm), is required for all
     kinds but np; R is required for oracle kinds and must be omitted for
@@ -423,10 +445,10 @@ def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     y0 = np.asarray(y0)[None]
     if y0.shape != (1, N):
         raise ConfigError(f"y0 must have {N} entries, got {y0.shape[1:]}")
-    forms = {}
+    A = None
     if plan.need_scm:
-        A = plan.bordered(y0)
+        A = np.zeros((1, N + 2, N + 2), dtype=complex)
         A[0, :N, :N] = estimators._check_scm(scm, N)
-        forms = plan.forms(A, y0)
-    alpha, _, norm = plan.assemble(spec, forms, y0)
-    return float(np.abs(alpha[0]) ** 2 / norm[0])
+    (coeffs,) = plan.coefficients(A, y0).values()
+    # on the trial's scalars, quicker than on rows of one
+    return float(statistic([c[0] for c in coeffs]))

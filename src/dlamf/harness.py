@@ -11,23 +11,21 @@ s^H M^{-1} (y0 + b s) = alpha + b * beta, with alpha, beta and the
 normalizer depending only on the noise draw and the SCM (per-trial loading
 factors included, since they are functions of the SCM alone). So a chunk
 runs one pass for h0 and h1 alike: it returns these coefficients and a
-frozen unit amplitude per trial, and _statistic forms the statistic at any
-b, the h0 one at b = 0. One pass serves every SCNR on a sweep and both
-Swerling 0 and Swerling I targets, and SCNR-at-Pd bisection re-thresholds
-cached coefficients instead of re-simulating.
+frozen unit amplitude per trial, and detectors.statistic forms the
+statistic at any b, the h0 one from alpha alone. One pass serves every
+SCNR on a sweep and both Swerling 0 and Swerling I targets, and
+SCNR-at-Pd bisection re-thresholds cached coefficients instead of
+re-simulating.
 
 Within a chunk, trials are drawn, colored, reduced and turned into
-statistics a block at a time: at most _BLOCK trials, and fewer when their
-snapshots would pass _BLOCK_BYTES. The chunk allocates one _Workspace of
-block buffers (the draws, the colored snapshots, a detectors.Plan
-bordered buffer and a factor buffer) and every block reuses it, a partial
-block through leading views. S goes straight into the corner of the
-bordered buffer, one Plan.forms call takes it to (alpha, beta, mu0_hat) at
-every loading (see the detectors module for its two routes) and
-Plan.assemble gives each kind's (alpha, beta, norm). Only these and the
-amplitudes outlive a block, so a chunk of B trials holds one block's
-buffers plus O(B) numbers at any array size. evaluate_statistic runs the
-same two steps on a block of one trial.
+coefficients a block at a time: at most _BLOCK trials, and fewer when
+their snapshots would pass _BLOCK_BYTES. The chunk allocates one
+_Workspace of block buffers, which every block reuses. S goes straight
+into the corner of its bordered buffer, and one detectors.Plan.coefficients
+call takes the block to every kind's (alpha, beta, norm), or raises. Only
+these and the amplitudes outlive a block, so a chunk of B trials holds one
+block's buffers plus O(B) numbers at any array size. evaluate_statistic
+makes the same call on a block of one trial.
 
 An Engine is the one place that schedules a run: chunks of
 min(DEFAULT_CHUNK, ceil(trials / workers)) trials, in process or on the one
@@ -116,6 +114,7 @@ class TrialConfig:
             raise ConfigError("trials must be >= 1")
         if not 0.0 < self.pfa_pre < 1.0:
             raise ConfigError(f"pfa must lie in (0, 1), got {self.pfa_pre}")
+        philox_key(self.master_seed, 0)  # a bad seed fails before any plan
 
     @property
     def single(self):
@@ -145,9 +144,6 @@ class _BatchPlan(detectors.Plan):
     drawing a chunk needs; built once per run."""
 
     def __init__(self, scenario, specs, opt_config=None):
-        labels = [sp.label for sp in specs]
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"duplicate detector labels in {labels}")
         R = scenario.covariance()
         super().__init__(specs, scenario.steering, scenario.K, R, opt_config,
                          design=lambda_opt)
@@ -167,9 +163,10 @@ def _reset_state(bitgen, ctr, key, buf, trial):
 class _Workspace:
     """Block buffers of one chunk, allocated once and reused by each of its
     blocks of at most B trials; a partial block takes leading views. A is
-    the bordered buffer that Plan.forms works in, persym-amf included, and
-    F its factor buffer. They belong to the chunk, not the plan, which
-    worker processes receive pickled."""
+    the bordered buffer of a block's SCMs, and F the factor buffer, that
+    Plan.coefficients works in (each None where the plan needs none). They
+    belong to the chunk, not the plan, which worker processes receive
+    pickled."""
 
     def __init__(self, plan, B):
         N, M = plan.N, plan.K + 1
@@ -215,55 +212,32 @@ def _generate(plan, master_seed, stream, lo, hi, ws):
     return y0, colored[:, :, 1:], (raw[:, -2] + 1j * raw[:, -1]) / _SQRT2
 
 
-def _reduce_block(plan, master_seed, stream, lo, hi, ws):
-    """Draw trials [lo, hi) and form their SCMs in the bordered buffer of
-    the _Workspace ws; returns y0, the unit amplitudes and plan.forms of
-    the block."""
-    y0, Y, amp = _generate(plan, master_seed, stream, lo, hi, ws)
-    if not plan.need_scm:
-        return y0, amp, {}
-    B, N, K = hi - lo, plan.N, plan.K
-    A = plan.bordered(y0, out=ws.A[:B])
-    # conj(Y) in Z's storage, free once the snapshots are colored
-    Yc = ws.Z[:B].reshape(B, -1)[:, :N * K].reshape(B, N, K)
-    np.conjugate(Y, out=Yc)
-    S = A[:, :N, :N]
-    np.matmul(Y, Yc.transpose(0, 2, 1), out=S)
-    # S / K bit for bit, on the real view
-    Sr = S.view(float)
-    np.multiply(Sr, 1.0 / K, out=Sr)
-    F = None if ws.F is None else ws.F[:B]
-    return y0, amp, plan.forms(A, y0, F)
-
-
 def _eval_chunk(plan, master_seed, stream, lo, hi):
     """Evaluate all planned detectors on trials [lo, hi) in one pass.
 
-    Returns ({label: (alpha, beta, norm)}, amp): alpha and beta are the
-    affine pieces of the filter output in the target amplitude, norm the
-    per-trial normalizer and amp the frozen unit amplitudes. The h0
-    statistic is _statistic at b = 0, so the same pass serves h0 and h1.
-
-    Each block of trials is drawn, taken through plan.forms (the
-    reduction, the loading searches and the forms at every loading) and
-    assembled in the chunk's one workspace; the blocks' coefficients are
-    joined in order.
+    Returns ({label: (alpha, beta, norm)}, amp), amp the frozen unit
+    amplitudes; detectors.statistic forms the statistic at any amplitude,
+    so the same pass serves h0 and h1. Each block of trials is drawn, its
+    SCMs formed in the bordered buffer of the chunk's one workspace and
+    taken through one plan.coefficients call.
     """
     ws = _Workspace(plan, min(plan.block, hi - lo))
+    N, K = plan.N, plan.K
     parts = []
     for b in range(lo, hi, plan.block):
-        y0, amp, forms = _reduce_block(plan, master_seed, stream, b,
-                                       min(b + plan.block, hi), ws)
-        parts.append(({sp.label: plan.assemble(sp, forms, y0)
-                       for sp in plan.specs}, amp))
+        B = min(plan.block, hi - b)
+        y0, Y, amp = _generate(plan, master_seed, stream, b, b + B, ws)
+        A = None
+        if plan.need_scm:
+            A = ws.A[:B]
+            S = A[:, :N, :N]
+            # conj(Y) in Z's storage, free once the snapshots are colored
+            Yc = ws.Z[:B].reshape(B, -1)[:, :N * K].reshape(B, N, K)
+            np.matmul(Y, np.conjugate(Y, out=Yc).transpose(0, 2, 1), out=S)
+            # S / K bit for bit, on the real view
+            np.multiply(S.view(float), 1.0 / K, out=S.view(float))
+        parts.append((plan.coefficients(A, y0, ws.F), amp))
     return _merge(parts)
-
-
-def _statistic(coeffs, b):
-    """|alpha + b beta|^2 / norm of one detector's (alpha, beta, norm) at
-    target amplitude b; b = 0 gives the h0 statistic."""
-    alpha, beta, norm = coeffs
-    return np.abs(alpha + b * beta) ** 2 / norm
 
 
 def _merge(parts):
@@ -319,7 +293,7 @@ def h0_statistics(scenario, specs, trials, master_seed, stream=0, workers=1,
     plan = _BatchPlan(scenario, cfg.spec_list(), opt_config)
     coeffs, _ = (engine or Engine(workers)).run(plan, master_seed, stream,
                                                  trials)
-    return {label: _statistic(c, 0.0) for label, c in coeffs.items()}
+    return {label: detectors.statistic(c) for label, c in coeffs.items()}
 
 
 @dataclass(frozen=True)
@@ -403,7 +377,7 @@ class PdEvaluator:
             b = math.sqrt(scnr / self.q) * self.amp
         else:
             raise ConfigError(f"unknown target model {target_model!r}")
-        return _statistic(self.coeffs[label], b)
+        return detectors.statistic(self.coeffs[label], b)
 
     def pd(self, label, tau, scnr, target_model):
         stats = self.statistics(label, scnr, target_model)

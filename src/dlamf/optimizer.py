@@ -192,7 +192,8 @@ def lambda_opt_rows(l, w2, K, config=None):
         d1, psi, num = estimators._loaded_rows(l, w2, lams, K)
         return estimators._kappa_lower(d1, psi, num)
 
-    return search_rows(objective, l, config)
+    with np.errstate(all="ignore"):  # search_rows checks every value
+        return search_rows(objective, l, config)
 
 
 def lambda_opt_hat(scm, s, K, config=None):
@@ -212,8 +213,7 @@ def kappa_lambda_curve(R, s, K, lambda_grid=None, config=None):
         lambda_grid = np.concatenate(
             ([0.0], _log_grid(config or OptConfig(), R.eigenvalues)))
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    kap = rmt.kappa(R, s, lambda_grid, K)
-    klo = rmt.kappa_lower(R, s, lambda_grid, K)
+    kap, klo = rmt._kappas(R, s, lambda_grid, K)
     N = R.dim
     return Curve(x=lambda_grid, y=kap, label="kappa",
                  meta={"kappa_lower": klo, "one_minus_c": 1.0 - N / K})

@@ -191,7 +191,7 @@ def deterministic_equivalents(R, s, lam, K):
     delta = solve_delta(rho, lams, K)
     w2 = np.abs(R.weights(sv)) ** 2
     den = delta[:, None] * rho + lams[:, None]
-    with np.errstate(over="ignore"):  # require_finite raises below
+    with np.errstate(all="ignore"):  # require_finite raises below
         psi = np.sum(w2 / den, axis=1)
         xi = np.sum(w2 * rho / den ** 2, axis=1)
         gamma = delta * delta * np.sum(rho ** 2 / den ** 2, axis=1) / K
@@ -201,8 +201,9 @@ def deterministic_equivalents(R, s, lam, K):
         omc = 1.0 - N / K
         psi[zero], xi[zero] = q / omc, q / omc ** 2
         gamma[zero], mu0[zero] = N / K, q / omc ** 3
-    require_finite(mu0, "mu0", "the loading or the powers are out of "
-                   "floating-point range", nonzero=True)
+    why = "the loading or the powers are out of floating-point range"
+    require_finite(mu0, "mu0", why, nonzero=True)
+    require_finite((psi, xi, gamma), "psi, xi and gamma values", why)
     return AsymptoticParams(
         lam=_shaped(lams, lam), delta=_shaped(delta, lam),
         psi=_shaped(psi, lam), xi=_shaped(xi, lam),
@@ -220,11 +221,17 @@ def mu1(params, sigma_t2):
     return float(sigma_t2) * params.psi ** 2 + params.mu0
 
 
+def _kappas(R, s, lam, K):
+    """(kappa, kappa_lower) at lam from one set of equivalents."""
+    p = deterministic_equivalents(R, s, lam, K)
+    top = (1.0 - p.gamma) * (p.psi * p.psi)
+    return top / (p.quad_inv * p.xi), top / p.xi
+
+
 def kappa(R, s, lam, K):
     """SCNR-preservation factor kappa(lam) = (1 - gamma) psi^2 / (q xi);
     lam may be a scalar or an array."""
-    p = deterministic_equivalents(R, s, lam, K)
-    k = (1.0 - p.gamma) * (p.psi * p.psi) / (p.quad_inv * p.xi)
+    k = _kappas(R, s, lam, K)[0]
     return float(k) if np.ndim(lam) == 0 else k
 
 
@@ -235,8 +242,7 @@ def kappa_lower(R, s, lam, K):
     Shares its maximizer with kappa, so loading-factor selection can work
     from data without knowing q.
     """
-    p = deterministic_equivalents(R, s, lam, K)
-    k = (1.0 - p.gamma) * (p.psi * p.psi) / p.xi
+    k = _kappas(R, s, lam, K)[1]
     return float(k) if np.ndim(lam) == 0 else k
 
 

@@ -300,9 +300,13 @@ class SampleSet:
 
 
 def philox_key(master_seed, stream):
-    """2x64-bit Philox key derived from (master_seed, stream)."""
-    ss = np.random.SeedSequence(entropy=(int(master_seed), int(stream)))
-    return ss.generate_state(2, np.uint64)
+    """2x64-bit Philox key derived from (master_seed, stream), each a whole
+    number >= 0 (else ConfigError)."""
+    entropy = (_whole("seed", master_seed), _whole("stream", stream))
+    if min(entropy) < 0:
+        raise ConfigError(f"seed and stream must be >= 0, got seed "
+                          f"{entropy[0]} and stream {entropy[1]}")
+    return np.random.SeedSequence(entropy=entropy).generate_state(2, np.uint64)
 
 
 def trial_rng(master_seed, stream, trial):

@@ -336,21 +336,46 @@ class TestErrorsAndUsage:
         assert _stderr_json(capsys)["kind"] == "numerical"
 
     def test_overflow_stderr_is_one_json_object(self, tmp_path):
-        # the oracle mu0 overflows at this loading; NumPy's overflow
-        # warnings must not reach stderr ahead of the error record, so the
-        # command runs in a process of its own with Python's default filters
+        # a value out of floating-point range ends each command in a
+        # NumericalError: the oracle mu0 at lam = 1e160, the oracle sums
+        # and the opt search at powers x1e-300, and statistics that
+        # underflow to 0 at lam = 1e200. NumPy's warnings must not reach
+        # stderr ahead of the error record, so each command runs in a
+        # process of its own with Python's default filters
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(Path(cli.__file__).parents[1]),
                         env.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-m", "dlamf.cli", "threshold", "--config",
-             TOEPLITZ_N24, "--detector", "cfar-dl-scmf", "--lambda", "1e160",
-             "--trials", "100", "--workers", "1", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=300, check=False)
-        assert out.returncode == 3
-        assert len(out.stderr.splitlines()) == 1, out.stderr
-        assert json.loads(out.stderr)["kind"] == "numerical"
+        for scale, detector in ((1.0, ["cfar-dl-scmf", "--lambda", "1e160"]),
+                                (1e-300, ["cfar-dl-scmf", "--lambda",
+                                          "1.5e-300"]),
+                                (1e-300, ["opt-cfar-dl-amf"]),
+                                (1.0, ["dl-amf", "--lambda", "1e200"])):
+            doc = json.loads(Path(TOEPLITZ_N24).read_text())
+            doc["clutter"]["clutter_power"] *= scale
+            doc["noise_power"] *= scale
+            config = tmp_path / "scenario.json"
+            config.write_text(json.dumps(doc))
+            out = subprocess.run(
+                [sys.executable, "-m", "dlamf.cli", "threshold", "--config",
+                 str(config), "--trials", "100", "--workers", "1", "--out",
+                 str(tmp_path / "out"), "--detector", *detector],
+                capture_output=True, text=True, env=env, timeout=300,
+                check=False)
+            assert out.returncode == 3, (detector, out.stderr)
+            assert len(out.stderr.splitlines()) == 1, (detector, out.stderr)
+            assert json.loads(out.stderr)["kind"] == "numerical"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_negative_seed(self, tmp_path, capsys, workers):
+        # NumPy's ValueError ended the command in a traceback
+        rc = cli.main(["threshold", "--config", TOEPLITZ, "--detector",
+                       "np", "--trials", "100", "--seed", "-1",
+                       "--workers", workers, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "config"
 
     def test_unknown_reproduce_item(self, tmp_path, capsys):
         rc = cli.main(["reproduce", "fig99", "--out", str(tmp_path)])

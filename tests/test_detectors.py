@@ -224,7 +224,8 @@ def _bordered_block(N, B, seed, lam=1.5):
     y0 = rng.standard_normal((B, N)) + 1j * rng.standard_normal((B, N))
     s = np.exp(1j * np.pi * np.sin(0.3) * np.arange(N))
     plan = detectors.Plan([DetectorSpec(detectors.CFAR_DL_AMF, lam)], s, K)
-    A = plan.bordered(y0)
+    A = np.zeros((B, N + 2, N + 2), dtype=complex)
+    plan._border(A, y0)
     A[:, :N, :N] = Y @ Y.conj().transpose(0, 2, 1) / K
     A[:, range(N), range(N)] += lam
     return plan, A

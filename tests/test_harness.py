@@ -89,6 +89,16 @@ class TestTrialConfig:
             h0_statistics(scen_n24_k48, [DetectorSpec("np")], trials,
                           master_seed=0, workers=workers)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_whole_and_non_negative(self, scen_n24_k48, seed):
+        # -1 reached NumPy's ValueError, 1.5 was truncated to seed 1
+        with pytest.raises(ConfigError, match="seed"):
+            TrialConfig(scen_n24_k48, DetectorSpec("np"), trials=8,
+                        master_seed=seed)
+        with pytest.raises(ConfigError, match="seed"):
+            h0_statistics(scen_n24_k48, [DetectorSpec("np")], 8,
+                          master_seed=seed)
+
     def test_type_hints_resolve(self):
         assert typing.get_type_hints(TrialConfig)["opt_config"] == \
             OptConfig | None
@@ -152,7 +162,7 @@ class TestGeneratorLayout:
             assert amp[t] == pytest.approx(b, rel=1e-15, abs=0)
         np.testing.assert_array_equal(coeffs["np"][0][trials],
                                       y0 @ plan.t_conj)
-        stats = harness._statistic(coeffs["np"], 0.0)
+        stats = detectors.statistic(coeffs["np"], 0.0)
         np.testing.assert_array_equal(
             stats[trials], np.abs(y0 @ plan.t_conj) ** 2 / plan.q)
 
@@ -226,7 +236,7 @@ class TestBatchScalarAgreement:
         plan = _BatchPlan(scen, specs)
         assert plan.spectral == spectral
         coeffs, _ = _eval_chunk(plan, master_seed=11, stream=0, lo=0, hi=B)
-        batch = {lbl: harness._statistic(c, 0.0)
+        batch = {lbl: detectors.statistic(c, 0.0)
                  for lbl, c in coeffs.items()}
         R = scen.covariance()
         s = scen.steering
@@ -262,8 +272,8 @@ class TestBatchScalarAgreement:
         for sp in specs:
             a, b = chol[sp.label], spec[sp.label]
             if view == "h0":
-                pairs = [("h0", harness._statistic(a, 0.0),
-                          harness._statistic(b, 0.0))]
+                pairs = [("h0", detectors.statistic(a, 0.0),
+                          detectors.statistic(b, 0.0))]
             else:
                 pairs = zip(("alpha", "beta", "norm"), a, b)
             for name, x, y in pairs:
@@ -381,7 +391,7 @@ class TestOneReduction:
         assert not calls
 
     def test_scalar_estimators_are_engine(self, scen_n24_k48, monkeypatch):
-        # el_lambda and lambda_opt_hat give the loadings Plan.forms uses,
+        # el_lambda and lambda_opt_hat give the loadings the engine uses,
         # and mu0_hat at them the engine's normalizer, bit for bit
         scen, s, K = scen_n24_k48, scen_n24_k48.steering, scen_n24_k48.K
         plan = _BatchPlan(scen, [DetectorSpec("cfar-el-amf"),
@@ -398,9 +408,11 @@ class TestOneReduction:
                             record("el", estimators._el_rows))
         monkeypatch.setattr(optimizer, "lambda_opt_rows",
                             record("adaptive-opt", optimizer.lambda_opt_rows))
-        _, _, forms = harness._reduce_block(plan, 11, 0, 0, 8,
-                                            _Workspace(plan, 8))
+        coeffs, _ = _eval_chunk(plan, 11, 0, 0, 8)
         monkeypatch.undo()
+        # each kind's norm is mu0_hat at its loading
+        forms = {"el": coeffs["cfar-el-amf"],
+                 "adaptive-opt": coeffs["opt-cfar-dl-amf"]}
         used["adaptive-opt"] = used["adaptive-opt"][0]
         for t in range(8):
             S = scm(sample_dataset(scen, Swerling0(), "h0",
@@ -415,20 +427,20 @@ class TestOneReduction:
 
     def test_one_kernel_call_per_block(self, scen_n24_k48, monkeypatch):
         # the spectral route forms the fixed and EL loadings of a block in
-        # one row kernel call, and a chunk makes one Plan.forms call per
-        # block
+        # one row kernel call, and a chunk makes one Plan.coefficients call
+        # per block
         plan = _BatchPlan(scen_n24_k48, [DetectorSpec("el-amf"),
                                          DetectorSpec("cfar-el-amf"),
                                          DetectorSpec("dl-amf", lam=1.5)])
         calls = []
         for owner, name in ((estimators, "_loaded_rows"),
-                            (detectors.Plan, "forms")):
+                            (detectors.Plan, "coefficients")):
             def counted(*args, fn=getattr(owner, name), name=name):
                 calls.append(name)
                 return fn(*args)
             monkeypatch.setattr(owner, name, counted)
         _eval_chunk(plan, 11, 0, 0, 2 * plan.block + 1)
-        assert calls == ["forms", "_loaded_rows"] * 3
+        assert calls == ["coefficients", "_loaded_rows"] * 3
 
 
 def _eigh_rows(S, y0, s):
@@ -787,8 +799,9 @@ class TestDesignConstants:
             h0_statistics(scen, [spec], 64, master_seed=1)
         ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(1, 0, 0))
         with pytest.raises(NumericalError) as scalar:
-            detectors.evaluate_statistic(spec, ds.y0, scen.steering, scen.K,
-                                         scm=scm(ds), R=R)
+            detectors.evaluate_statistic(
+                spec, ds.y0, scen.steering, scen.K, scm=scm(ds),
+                R=R if spec.kind in detectors.ORACLE_TAGS else None)
         assert str(batch.value) == str(scalar.value)
         return str(batch.value)
 
@@ -821,6 +834,23 @@ class TestDesignConstants:
             detectors.evaluate_statistic(spec, ds.y0, scen.steering, scen.K,
                                          scm=scm(ds))
 
+    @pytest.mark.parametrize("kind", sorted(detectors.FIXED_LAMBDA_TAGS
+                                            - {"cfar-dl-scmf"}))
+    @pytest.mark.parametrize("lam", [1e200, 1e300])
+    def test_underflowing_statistics(self, scen_n24_k48, kind, lam):
+        # the filter output underflows; every statistic came out 0.0
+        msg = self._both_paths(scen_n24_k48, DetectorSpec(kind, lam=lam))
+        assert f"{kind} at loading {lam}" in msg and "subnormal" in msg
+
+    @pytest.mark.parametrize("kind", ["dl-amf", "dl-scm-beta", "dl-raw"])
+    def test_large_loading_still_runs(self, scen_n24_k48, kind):
+        # at lam = 1e160 dl-raw's statistics were subnormal (3.1e-320)
+        stats = h0_statistics(scen_n24_k48, [DetectorSpec(kind, lam=1e150)],
+                              64, master_seed=1)[f"{kind}(lam=1e+150)"]
+        assert np.all(np.isfinite(stats) & (stats >= np.finfo(float).tiny))
+        if kind == "dl-raw":
+            assert 1e-300 < stats.mean() < 1e-299
+
     @pytest.mark.parametrize("lam", [1e155, 1e160])
     def test_equivalents_overflow_warns_not(self, scen_n24_k48, lam):
         # den ** 2 overflows; the NumericalError, not a RuntimeWarning,
@@ -831,6 +861,47 @@ class TestDesignConstants:
             with pytest.raises(NumericalError, match="mu0"):
                 rmt.deterministic_equivalents(scen.covariance(),
                                               scen.steering, lam, scen.K)
+
+
+def _extreme_cases():
+    """(powers scale, spec): every kind with every power scaled, fixed
+    loadings scaled alike, and the fixed-loading kinds at huge loadings on
+    unit powers."""
+    cases = [(c, DetectorSpec(k, lam=1.5 * c if k in
+                              detectors.FIXED_LAMBDA_TAGS else None))
+             for c in (1e200, 1e-200, 1e-300) for k in detectors.ALL_TAGS]
+    return cases + [(1.0, DetectorSpec(k, lam=lam))
+                    for lam in (1e160, 1e200, 1e300)
+                    for k in sorted(detectors.FIXED_LAMBDA_TAGS)]
+
+
+# the true covariance of the scaled scenarios may be clamped, with a warning
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale,spec", _extreme_cases(),
+                         ids=lambda v: v.label if isinstance(v, DetectorSpec)
+                         else f"{v:g}")
+def test_statistics_normal_or_raise(scale, spec):
+    # h0_statistics, pd_evaluator and evaluate_statistic each give finite
+    # statistics no smaller than the smallest normal float, or raise
+    scen = toeplitz_scenario(24, 48, clutter_power=10.0 * scale,
+                             noise=scale)
+    tiny = np.finfo(float).tiny
+    cfg = TrialConfig(scen, spec, trials=64, master_seed=0)
+    ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, 0))
+    oracle = spec.kind in detectors.ORACLE_TAGS
+    runs = [
+        lambda: h0_statistics(scen, [spec], 64, master_seed=0)[spec.label],
+        lambda: pd_evaluator(cfg).statistics(spec.label, 0.0, "swerling0"),
+        lambda: detectors.evaluate_statistic(
+            spec, ds.y0, scen.steering, scen.K,
+            scm=None if spec.kind == "np" else scm(ds),
+            R=scen.covariance() if oracle else None)]
+    for run in runs:
+        try:
+            stats = np.asarray(run())
+        except NumericalError:
+            continue
+        assert np.all(np.isfinite(stats) & (stats >= tiny)), stats
 
 
 class TestChunkMemory:

@@ -285,6 +285,22 @@ class TestKappaCurve:
         np.testing.assert_allclose(curve.meta["kappa_lower"], q * curve.y,
                                    rtol=1e-10)
 
+    def test_one_delta_solve(self, monkeypatch):
+        # kappa and kappa_lower come from one solve of the whole grid, with
+        # the bits of the two functions
+        scen = toeplitz_scenario(24, 48)
+        R, s = scen.covariance(), scen.steering
+        grid = np.concatenate(([0.0], np.logspace(-3, 3, 200)))
+        calls = []
+        solve = rmt.solve_delta
+        monkeypatch.setattr(rmt, "solve_delta",
+                            lambda *a: calls.append(1) or solve(*a))
+        curve = optimizer.kappa_lambda_curve(R, s, 48, lambda_grid=grid)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(curve.y, rmt.kappa(R, s, grid, 48))
+        np.testing.assert_array_equal(curve.meta["kappa_lower"],
+                                      rmt.kappa_lower(R, s, grid, 48))
+
     def test_default_grid(self):
         scen = toeplitz_scenario(12, 48)
         curve = optimizer.kappa_lambda_curve(scen.covariance(), scen.steering,

@@ -226,6 +226,15 @@ class TestRng:
         k = philox_key(9, 3)
         assert k.dtype == np.uint64 and k.shape == (2,)
 
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (1.5, 0),
+                                             (0, 0.5), (math.nan, 0)])
+    def test_seed_and_stream_are_whole_and_non_negative(self, seed, stream):
+        # a negative one reached NumPy's ValueError, a fraction was truncated
+        with pytest.raises(ConfigError):
+            philox_key(seed, stream)
+        with pytest.raises(ConfigError):
+            trial_rng(seed, stream, 0)
+
 
 class TestSampling:
     def test_shapes_and_hypothesis(self):
