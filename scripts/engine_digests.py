@@ -9,8 +9,11 @@ set. An engine cuts a run into chunks of min(DEFAULT_CHUNK, ceil(trials /
 workers)) trials, so the default 512 trials run as one chunk in process,
 two chunks on a pool and three chunks on a pool. A digest covers the h0
 statistics of h0_statistics and the (alpha, beta, norm) coefficients and
-amplitudes of one pd_evaluator pass, for every detector of the set. A last
-line digests evaluate_statistic for every kind on five trials.
+amplitudes of one pd_evaluator pass, for every detector of the set. One
+more line digests evaluate_statistic for every kind on five trials, and
+the last one the loading searches: lambda_opt on every set's scenario and
+lambda_opt_hat on five trials of each (lambda, value, evaluations,
+converged), so a change to the search shows apart from the statistics.
 
 Run it with PYTHONPATH at two source trees: equal lines mean equal bits.
 The script reaches the engine only through harness.Engine and the engine
@@ -26,7 +29,7 @@ import sys
 
 import numpy as np
 
-from dlamf import detectors, harness
+from dlamf import detectors, harness, optimizer
 from dlamf.detectors import DetectorSpec
 from dlamf.harness import TrialConfig
 from dlamf.scenario import (LowRankClutter, Scenario, Swerling0,
@@ -97,6 +100,19 @@ def scalar_digest(scen, specs, trials=5):
     return hashlib.sha256(np.array(vals).tobytes()).hexdigest()
 
 
+def search_digest(trials=5):
+    found = []
+    for scen, _ in SETS.values():
+        s, K = scen.steering, scen.K
+        found.append(optimizer.lambda_opt(scen.covariance(), s, K))
+        for t in range(trials):
+            ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(SEED, 0, t))
+            found.append(optimizer.lambda_opt_hat(scm(ds), s, K))
+    return hashlib.sha256(np.array(
+        [(r.lambda_star, r.objective_value, r.evaluations, r.converged)
+         for r in found]).tobytes()).hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--trials", type=int, default=512)
@@ -117,6 +133,7 @@ def main(argv=None):
     scen, specs = SETS["all-kinds-toeplitz-n24"]
     print(f"evaluate_statistic all-kinds-toeplitz-n24 "
           f"{scalar_digest(scen, specs)}")
+    print(f"lambda_opt/lambda_opt_hat all-sets {search_digest()}")
     return status
 
 

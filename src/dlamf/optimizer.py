@@ -4,13 +4,14 @@ The oracle rule maximizes kappa(lam) computed from the true covariance; the
 data-driven rule maximizes its consistent surrogate kappa_lower_hat computed
 from one SCM draw. Both share one search, written for B rows at once: an
 analytic evaluation at lam = 0, a 200-point log grid up to 100x the row's
-mean eigenvalue, then golden-section refinement inside the row's best grid
-bracket. Ties break toward the smallest loading. The scalar API is the
-search on one row; the trial engine runs it on every trial of a chunk. The
+mean eigenvalue, then a few passes over an even subgrid of the row's best
+grid bracket, each keeping the two subcells around the best new point.
+Ties break toward the smallest loading. The scalar API is the search on
+one row; the trial engine runs it on every trial of a chunk. The
 objective takes a (B, m) array of loadings: the grid goes in column groups
-(one call for one row), each golden step in one column. The kappa curve
-is one array call; the crossing is one array call on the grid, then one
-per pass that narrows its bracket.
+(one call for one row), each pass in one call of _SEARCH_POINTS columns.
+The kappa curve is one array call; the crossing is one array call on the
+grid, then one per pass that narrows its bracket.
 """
 
 from __future__ import annotations
@@ -25,8 +26,12 @@ from .errors import ConfigError, require_finite
 from .results import Curve
 from .scenario import as_spectrum
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = 200
+# a search bracket is cut into _SEARCH_POINTS + 1 equal parts per pass and
+# shrinks to two of them, at most _SEARCH_PASSES times: (2 / 13)^20 < 2^-52,
+# so a bracket still open at the cap is narrower than the float resolution
+# of its grid bracket
+_SEARCH_POINTS = 12
+_SEARCH_PASSES = 20
 # loadings per objective call while a grid is evaluated: B rows take
 # _GRID_CELLS // B columns at a time, so a call's temporaries stay a few MiB
 _GRID_CELLS = 4096
@@ -85,18 +90,24 @@ def _log_grid(cfg, eigenvalues):
 
 
 def search_rows(objective, eigenvalues, config=None):
-    """Grid-then-golden maximization on every row of eigenvalues (B, N).
+    """Grid-then-subgrid maximization on every row of eigenvalues (B, N).
 
     Row b searches [0, lambda_max_b] on the grid 0 followed by
-    np.logspace(-3, log10(lambda_max_b), grid_points). objective(lams)
-    takes a (B, m) array of loadings and returns their values (that shape,
-    or one value broadcast to it). Returns the rows lambda_star, objective
-    value, evaluations (grid points plus golden steps), bracket ends and
-    converged, or raises NumericalError when a grid value or a returned
-    value is NaN or infinite. A flat row (no grid point improves on
-    lam = 0 beyond rounding) gets lambda_star = 0 with converged = False,
-    and so does a row whose bracket is still wider than tol after
-    _GOLDEN_STEPS steps.
+    np.logspace(-3, log10(lambda_max_b), grid_points), then refines the
+    bracket of its first grid maximum: each pass evaluates the
+    _SEARCH_POINTS evenly spaced interior points of every row's bracket
+    and shrinks it to the two subcells around the row's best new point
+    (the first on ties), until b - a <= tol * b. objective(lams) takes a
+    (B, m) array of loadings and returns their values (that shape, or one
+    value broadcast to it). Each row's result depends on its own values
+    alone. Returns the rows lambda_star (the best loading evaluated, the
+    earlier one on ties), objective value, evaluations (grid points plus
+    _SEARCH_POINTS per pass), final bracket ends and converged, or raises
+    NumericalError when a grid value or a pass's best value is NaN or
+    infinite. A flat row (no grid point improves on lam = 0 beyond
+    rounding) gets lambda_star = 0 with converged = False; a row whose
+    bracket is still wider than tol after _SEARCH_PASSES passes gets
+    converged = False.
     """
     cfg = config or OptConfig()
 
@@ -116,51 +127,32 @@ def search_rows(objective, eigenvalues, config=None):
     best = np.argmax(vals, axis=1)
     v0, best_v = vals[:, 0], vals[rows, best]
     flat = best_v - v0 <= _FLAT_RTOL * np.maximum(1.0, np.abs(v0))
-    lo = np.where(flat, 0.0, grid[rows, np.maximum(best - 1, 0)])
-    hi = np.where(flat, grid[:, 1], grid[rows, np.minimum(best + 1, P)])
+    a = np.where(flat, 0.0, grid[rows, np.maximum(best - 1, 0)])
+    b = np.where(flat, grid[:, 1], grid[rows, np.minimum(best + 1, P)])
     x = np.where(flat, 0.0, grid[rows, best])
     fx = np.where(flat, v0, best_v)
     evals = np.full(B, P + 1)
     act = ~flat
-    if not act.any():
-        return x, fx, evals, lo, hi, act
 
-    # golden section on [a, b] with interior points x1 < x2; a row stops
-    # once b - a <= tol * b (0 <= a < b) and keeps its values from then on
-    a, b = lo.copy(), hi.copy()
-    width = b - a
-    pts = np.empty((4, B))
-    x1, f1, x2, f2 = pts  # views
-    x1[:], x2[:] = b - _GOLDEN * width, a + _GOLDEN * width
-    f1[:], f2[:] = f(np.stack((x1, x2), axis=1)).T
-    evals += 2 * act
-    for _ in range(_GOLDEN_STEPS):
-        act &= width > cfg.tol * np.maximum(b, 1e-30)
+    # every active row has 0 <= a < b; a stopped row keeps its values
+    cuts = np.arange(_SEARCH_POINTS + 2) / (_SEARCH_POINTS + 1)
+    for _ in range(_SEARCH_PASSES):
+        act &= b - a > cfg.tol * b
         if not act.any():
             break
-        up = f1 < f2
-        right = act & up        # the peak is right of x1: a moves to x1
-        left = act ^ right      # else b moves to x2
-        np.copyto(a, x1, where=right)
-        np.copyto(b, x2, where=left)
-        # the surviving interior point takes the other slot, and the new
-        # one a + g (b - a) or b - g (b - a) the freed one
-        np.copyto(pts, pts[[2, 3, 0, 1]], where=act)
-        width = b - a
-        step = _GOLDEN * width
-        xq = np.where(up, a + step, b - step)
-        new = np.stack((xq, f(xq[:, None])[:, 0]))
-        np.copyto(pts[2:], new, where=right)
-        np.copyto(pts[:2], new, where=left)
-        evals += act
-    act &= width > cfg.tol * np.maximum(b, 1e-30)   # stopped at the cap
-    # the smaller loading on exact ties; the grid point if still the best
-    first = f1 >= f2
-    xg, fg = np.where(first, x1, x2), np.where(first, f1, f2)
-    golden = ~flat & ~(best_v >= fg)
-    fx = np.where(golden, fg, fx)
-    require_finite(fx, "objective values at the maxima", _UNRANKED)
-    return np.where(golden, xg, x), fx, evals, lo, hi, ~flat & ~act
+        xs = a[:, None] + (b - a)[:, None] * cuts
+        vs = f(xs[:, 1:-1])
+        k = np.argmax(vs, axis=1)
+        fk = vs[rows, k]
+        require_finite(fk, "objective values at the pass maxima", _UNRANKED)
+        a = np.where(act, xs[rows, k], a)
+        b = np.where(act, xs[rows, k + 2], b)
+        # the earlier point on ties: the grid point if still the best
+        up = act & (fk > fx)
+        x, fx = np.where(up, xs[rows, k + 1], x), np.where(up, fk, fx)
+        evals += _SEARCH_POINTS * act
+    act &= b - a > cfg.tol * b   # stopped at the cap
+    return x, fx, evals, a, b, ~flat & ~act
 
 
 def _one_row(found):

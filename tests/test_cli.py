@@ -517,25 +517,25 @@ PINNED = {
         "9517a20bb1cd0eb2f0d652784d620a62ae9682cbc1c520fed4cd867d3de5604b",
         "9f798accc06ed65df1edca5f7a6cba3069a8d7b6ecc705f188918ada24793829",
         {"fig5": {"crossing": None,
-                  "kappa_at_lambda_0": 0.9243053424193619,
+                  "kappa_at_lambda_0": 0.924305342415291,
                   "kappa_inf": 0.791197459603113,
-                  "lambda_0": 4.275415672043995,
+                  "lambda_0": 4.275361284814717,
                   "one_minus_c": 0.75}}),
     "fig6": (25,
         "ef80d418f2716ea844a654e1e5037b5183cbe2c1292696aa40200fa1d65154be",
         "4fd8d731e53c69ea37f7d86ef0632e1b5e60679bf91427cef63fde153d9e4df5",
         {"fig6": {"crossing": 30.12669300772067,
-                  "kappa_at_lambda_0": 0.9109616595431769,
+                  "kappa_at_lambda_0": 0.9109616595442088,
                   "kappa_inf": 0.33224517254468505,
-                  "lambda_0": 3.121801982241552,
+                  "lambda_0": 3.121822247203201,
                   "one_minus_c": 0.75}}),
     "fig7": (25,
         "49ffb91dace228f834ceba8b1253bf45428aa8989005df782cb5f4255b7c445d",
         "5e40572a0c8bfd559cd3b1b354c09a63997ee62d1c5825be2e164b1e69f872b2",
         {"fig7": {"crossing": None,
-                  "kappa_at_lambda_0": 0.8063604891744847,
+                  "kappa_at_lambda_0": 0.8063604891726616,
                   "kappa_inf": 0.33224517254468505,
-                  "lambda_0": 6.468551353016748,
+                  "lambda_0": 6.46848344186914,
                   "one_minus_c": 0.07692307692307687}}),
     "fig8": (18,
         "91916656ba2a9bd3e9e5e04a7395a5371b379c9f0b0398a7282217c272019905",
@@ -560,19 +560,19 @@ PINNED = {
         {}),
     "fig13": (12,
         "384618b27c0f8a2c48eb18d6fe865a088a239d403ceb7741a8b8a9b2ba884803",
-        "0ecc97557a144ff69c30f077a3d27f3ca755144d97485cd91897b511e524ee3b",
+        "8a031df41d08769097a3a0d96a8a7522e24b65cfd03224127e35822e15b2f5d2",
         {}),
     "fig14": (10,
         "97bd7dbe9ce9929d3b218198ea305075e9c33d6fcaf2b764650643bb48714d3d",
-        "571265d580f5c7e3435b9507cd8d4471df2259d3a9beb3b3b1e77cdd67970b2c",
-        {"lambda_opt": 11.921143337234207}),
+        "49a46c128db16dca88e3dbf88a4e53eec1c5cb65001629d7c9b65c6cd89fc46b",
+        {"lambda_opt": 11.92099738279414}),
     "table2": (1,
         "e1c81ee75ae8a95b729cda11d8e0363af1f91afa9e2f35f2cb5e08ecad49f9c7",
-        "2c3060f133efdfcf870ea8dd60db8801857d81a787d03734d3be0aedbd3b72ff",
+        "9cc1b3b0fa17a5ec4a37fde5aae61c4bb4542293ae924ab741a5094ef5918900",
         {}),
     "table3": (1,
         "1efca3e6f4fb77b9966341e2b1b3311256f3d11d2587d4c24661480ac519872a",
-        "226a2a4096bbd8e8ebbd37c1c70a3bab6bf312224032706f58e7241a76586063",
+        "8d6c1dfb69d4326d5c85525feced0d70820463a7a71b4dd14feee83a3b789472",
         {}),
 }
 

@@ -25,7 +25,7 @@ def test_smoke():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     digests = {}
-    for line in lines[:-1]:
+    for line in lines[:-2]:
         name, engine, digest = line.split()
         digests.setdefault(name, []).append((engine, digest))
     assert set(digests) == set(_load().SETS)
@@ -33,8 +33,9 @@ def test_smoke():
         assert [r[0] for r in runs] == ["engine=1", "engine=2",
                                         "engine=3"], name
         assert len({r[1] for r in runs}) == 1, name
-    name, digest = lines[-1].rsplit(" ", 1)
-    assert name.startswith("evaluate_statistic") and len(digest) == 64
+    for line, name in zip(lines[-2:], ("evaluate_statistic",
+                                        "lambda_opt/lambda_opt_hat")):
+        assert line.startswith(name + " ") and len(line.split()[-1]) == 64
 
 
 def test_disagreement_exits_1(monkeypatch, capsys):
@@ -43,5 +44,6 @@ def test_disagreement_exits_1(monkeypatch, capsys):
                         lambda scen, specs, trials, engine:
                         str(engine.workers))
     monkeypatch.setattr(mod, "scalar_digest", lambda scen, specs: "0")
+    monkeypatch.setattr(mod, "search_digest", lambda: "0")
     assert mod.main(["--trials", "6"]) == 1
     assert "digests differ" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dlamf import optimizer, rmt
+from dlamf import estimators, optimizer, rmt
 from dlamf.detectors import DetectorSpec, evaluate_statistic
 from dlamf.errors import ConfigError, NumericalError
 from dlamf.harness import h0_statistics
@@ -15,17 +15,26 @@ from conftest import lowrank_scenario, toeplitz_scenario
 
 
 class TestGoldenRefine:
-    # the golden refinement of the row search: each row of a batch is
-    # refined inside its own best grid bracket
+    # the refinement of the row search: each row of a batch is refined
+    # inside its own best grid bracket, one (B, P) call per pass
     def test_analytic_parabola(self):
         peaks = np.array([2.7, 6.1])
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return -(t - peaks[:, None]) ** 2
+
         x, fx, evals, lo, hi, converged = optimizer.search_rows(
-            lambda t: -(t - peaks[:, None]) ** 2, np.ones((2, 4)),
-            OptConfig(lambda_max=10.0, tol=1e-10))
+            f, np.ones((2, 4)), OptConfig(lambda_max=10.0, tol=1e-10))
         np.testing.assert_allclose(x, peaks, atol=1e-8)
         np.testing.assert_allclose(fx, 0.0, atol=1e-15)
         assert np.all(converged) and np.all((lo < peaks) & (peaks < hi))
-        assert np.all(evals - 201 < 80)
+        P = optimizer._SEARCH_POINTS
+        assert calls[0] == (2, 201)
+        assert all(shape == (2, P) for shape in calls[1:])
+        assert evals.max() == 201 + P * (len(calls) - 1)
+        assert np.all((evals - 201) % P == 0)
 
     def test_skewed_peak(self):
         def f(t):
@@ -93,9 +102,8 @@ class TestMaximize:
         assert res.lambda_star == 0.0
         assert not res.converged
 
-    def test_grid_in_one_call_then_scalars(self):
-        # one row: the grid in one call, then the golden steps, one
-        # loading each after the first pair
+    def test_grid_in_one_call_then_passes(self):
+        # one row: the grid in one call, then one call of P loadings per pass
         calls = []
 
         def objective(t):
@@ -106,10 +114,23 @@ class TestMaximize:
         grid = calls[0]
         assert isinstance(grid, np.ndarray) and grid.shape == (1, 201)
         assert grid[0, 0] == 0.0 and grid[0, -1] == pytest.approx(100.0)
-        assert calls[1].shape == (1, 2)
-        assert all(t.shape == (1, 1) for t in calls[2:])
+        assert all(t.shape == (1, optimizer._SEARCH_POINTS)
+                   for t in calls[1:])
         assert res.converged
         assert res.evaluations == sum(t.size for t in calls)
+
+    def test_few_objective_calls(self):
+        # the default tol is reached within six passes after the grid call
+        calls = []
+
+        def objective(t):
+            calls.append(t.shape)
+            return -(t - 5.0) ** 2
+
+        res = optimizer.maximize_over_lambda(objective, np.ones(4))
+        assert res.converged
+        assert res.lambda_star == pytest.approx(5.0, rel=1e-4)
+        assert len(calls) <= 1 + 6
 
     def test_interior_peak(self):
         res = optimizer.maximize_over_lambda(
@@ -119,15 +140,44 @@ class TestMaximize:
         assert res.bracket[0] < 5.0 < res.bracket[1]
         assert res.evaluations > 200
 
-    def test_golden_cap_is_not_converged(self):
-        # a tolerance no bracket reaches in 200 golden steps: the search
-        # stops at the cap (201 grid points, the first pair, 200 steps)
+    def test_pass_cap_is_not_converged(self):
+        # a tolerance no bracket reaches: the search stops at the cap (201
+        # grid points, then P loadings in each of _SEARCH_PASSES passes)
         # and says so
         res = optimizer.maximize_over_lambda(
             lambda t: -(t - 5.0) ** 2, np.ones(4), OptConfig(tol=1e-300))
-        assert res.evaluations == 201 + 2 + 200
+        assert res.evaluations == (201 + optimizer._SEARCH_POINTS
+                                   * optimizer._SEARCH_PASSES)
         assert not res.converged
         assert res.lambda_star == pytest.approx(5.0, abs=1e-5)
+
+
+class TestRowSearch:
+    # SCM rows of the criterion-4 design (N=24, K=48), one trial per row
+    @pytest.fixture(scope="class")
+    def rows(self):
+        scen = toeplitz_scenario(24, 48)
+        l, w2 = zip(*(estimators._scm_rows(
+            scm(sample_dataset(scen, Swerling0(), "h0", trial_rng(7, 0, t))),
+            scen.steering, scen.K) for t in range(111)))
+        return np.concatenate(l), np.concatenate(w2), scen.K
+
+    @pytest.mark.parametrize("B", [1, 7, 111])
+    def test_rows_are_one_row_searches(self, rows, B):
+        # a row's result does not depend on B or on the other rows
+        l, w2, K = rows
+        found = optimizer.lambda_opt_rows(l[:B], w2[:B], K)
+        for i in range(B):
+            one = optimizer.lambda_opt_rows(l[i:i + 1], w2[i:i + 1], K)
+            for got, ref in zip(found, one):
+                np.testing.assert_array_equal(got[i:i + 1], ref)
+
+    def test_converged_rows_end_in_their_bracket(self, rows):
+        l, w2, K = rows
+        x, _, _, lo, hi, converged = optimizer.lambda_opt_rows(l, w2, K)
+        assert converged.all()
+        assert np.all((lo <= x) & (x <= hi))
+        assert np.all(hi - lo <= OptConfig().tol * hi)
 
 
 class TestLambdaOpt:
