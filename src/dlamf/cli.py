@@ -39,7 +39,6 @@ from .detectors import (CFAR_DL_AMF, CFAR_DL_SCMF, CFAR_EL_AMF, CFAR_TAGS,
                         OPT_CFAR_DL_SCMF, PERSYM_AMF, SCM_AMF, DetectorSpec)
 from .errors import ConfigError, NumericalError
 from .harness import TrialConfig
-from .optimizer import OptConfig
 from .results import Curve
 from .scenario import (LowRankClutter, Scenario, ToeplitzClutter,
                        parse_document, scenario_from_json)
@@ -220,11 +219,6 @@ def _parse_lambda_grid(spec):
     raise ConfigError(f"--lambda-grid spacing must be 'log' or 'lin', got {mode!r}")
 
 
-def _opt_config(args):
-    return OptConfig(lambda_max=args.lambda_max, grid_points=args.grid_points,
-                     tol=args.tol)
-
-
 # --- subcommands -----------------------------------------------------------
 
 def cmd_kappa(args, argv):
@@ -255,8 +249,7 @@ def cmd_threshold(args, argv):
     scen, _, doc = _load_scenario(args.config)
     specs = _parse_detectors(args.detector, args.lam)
     cfg = TrialConfig(scenario=scen, detector=specs, trials=args.trials,
-                      master_seed=args.seed, pfa_pre=args.pfa,
-                      opt_config=_opt_config(args))
+                      master_seed=args.seed, pfa_pre=args.pfa)
     run = _Run(argv, args.out, doc)
     taus = harness.calibrate_threshold(cfg, engine=args.engine)
     run.thresholds.update(_pfa_record(taus))
@@ -275,7 +268,7 @@ def cmd_pd_sweep(args, argv):
     grid = _parse_scnr_grid(args.scnr_db)
     cal = TrialConfig(scenario=scen, detector=specs,
                       trials=args.threshold_trials, master_seed=args.seed,
-                      pfa_pre=args.pfa, opt_config=_opt_config(args))
+                      pfa_pre=args.pfa)
     run = _Run(argv, args.out, doc, notes={"target": target})
     taus = harness.calibrate_threshold(cal, engine=args.engine)
     run.thresholds.update(_pfa_record(taus))
@@ -298,7 +291,7 @@ def cmd_loss_table(args, argv):
     rows = harness.detection_loss_table(
         scen, specs, pfa_pre=args.pfa, threshold_trials=args.threshold_trials,
         pd_trials=args.trials, master_seed=args.seed, pd_target=args.pd,
-        opt_config=_opt_config(args), engine=args.engine)
+        engine=args.engine)
     run.thresholds.update(_pfa_record(
         {r["detector"]: r["threshold"] for r in rows}))
     _write_csv(run.path("loss_table.csv"), LOSS_COLUMNS,
@@ -561,15 +554,12 @@ def build_parser():
                      help="worker processes of the command's one pool; 1 "
                           "runs in process (default: the usable CPUs, or 1 "
                           "where the OpenBLAS pools cannot be pinned)")
-    # the Monte Carlo commands: detectors, loadings and the opt search
+    # the Monte Carlo commands: detectors and loadings
     mc = argparse.ArgumentParser(add_help=False, parents=[config, run, out])
     mc.add_argument("--detector", "--detectors", required=True,
                     help="comma-separated detector tags")
     mc.add_argument("--lambda", dest="lam", type=float, default=None,
                     help="loading factor for fixed-loading detectors")
-    mc.add_argument("--lambda-max", type=float, default=None)
-    mc.add_argument("--grid-points", type=int, default=200)
-    mc.add_argument("--tol", type=float, default=1e-4)
     trials = {n: _flags("--trials", type=int, default=n)
               for n in (10_000, 100_000)}
     pd = [mc, trials[10_000],

@@ -60,7 +60,8 @@ import numpy as np
 from scipy.linalg.lapack import zpotrf, ztrtri
 
 from . import blas, estimators, optimizer, rmt
-from .errors import ConfigError, NumericalError, require_finite
+from .errors import (OUT_OF_RANGE, ConfigError, NumericalError, out_of_range,
+                     require_finite)
 from .scenario import as_spectrum, steering_entries
 
 NP = "np"
@@ -175,11 +176,13 @@ class Plan:
     use (0 for scm-amf and the beta0 normalizer, a spec's lam, the oracle
     optimum); mu0_lams the loadings (or per-trial sources) whose mu0_hat is
     needed. R, required by the oracle kinds, gives q, R^{-1} s and the
-    oracle mu0 and optimum; design finds that optimum (optimizer.lambda_opt
-    when None). spectral names the route (see the module docstring).
+    oracle mu0 and optimum; design(R, s, K) finds that optimum
+    (optimizer.lambda_opt when None). The oracle and the per-trial loading
+    searches run at optimizer.OptConfig(). spectral names the route (see
+    the module docstring).
     """
 
-    def __init__(self, specs, s, K, R=None, opt_config=None, design=None):
+    def __init__(self, specs, s, K, R=None, design=None):
         self.specs = list(specs)
         self.labels = [sp.label for sp in self.specs]
         if len(set(self.labels)) != len(self.labels):
@@ -187,7 +190,6 @@ class Plan:
         self.s = steering_entries(s)
         self.N = self.s.shape[0]
         self.K = K
-        self.opt_config = opt_config
         kinds = [KINDS[sp.kind] for sp in self.specs]
         sources = {k.loading for k in kinds}
         self.need_scm = sources != {"none"}
@@ -204,13 +206,12 @@ class Plan:
         if R is not None:
             R = as_spectrum(R)
             self.q = R.inv_quad(self.s)
-            require_finite(self.q, "q = s^H R^-1 s", "the powers are out of "
-                           "floating-point range", nonzero=True)
+            require_finite(self.q, "q = s^H R^-1 s", OUT_OF_RANGE,
+                           nonzero=True)
             self.t_conj = np.conj(R.apply_inv(self.s))
             if "oracle-opt" in sources:
                 design = design or optimizer.lambda_opt
-                self.opt_lambda = design(R, self.s, K,
-                                         opt_config).lambda_star
+                self.opt_lambda = design(R, self.s, K).lambda_star
         lams, self.mu0_lams, self.oracle_mu0 = [], set(), {}
         for sp, kind in zip(self.specs, kinds):
             key = self.key(sp)
@@ -271,7 +272,7 @@ class Plan:
                     raise NumericalError(
                         f"{sp.kind} at loading {self.key(sp)} gives zero, "
                         "subnormal or non-finite statistics; the loading or "
-                        "the powers are out of floating-point range")
+                        f"{OUT_OF_RANGE}")
         return out
 
     def _forms(self, A, y0, F):
@@ -294,7 +295,7 @@ class Plan:
                 cols["el"] = estimators._el_rows(l, self.log_zeta)
             if self.need_opt:
                 cols["adaptive-opt"] = optimizer.lambda_opt_rows(
-                    l, w2, self.K, self.opt_config)[0]
+                    l, w2, self.K)[0]
             lams = np.stack(list(cols.values()), axis=1)
             unloaded = (lams == 0.0).any(1)
             if unloaded.any():
@@ -373,9 +374,10 @@ def _cholesky_forms(A, lam, plan, with_mu0, F):
         # lower=1, clean=1, overwrite_a=1, positional: f2py's keyword
         # parsing takes up to 1 us a call, a whole factorization at N=4
         if zpotrf(F[b], 1, 1, 1)[1]:
+            why = (OUT_OF_RANGE if out_of_range(A[b].diagonal()[:N].real.max())
+                   else "sample covariance is not positive definite")
             raise NumericalError(
-                f"Cholesky factorization failed at loading {lam:g}: "
-                "sample covariance is not positive definite")
+                f"Cholesky factorization failed at loading {lam:g}: {why}")
     L = F[:, :N, :N]
     if lam == 0.0:
         # lambda_min <= min L_ii^2 and lambda_max >= max M_ii
@@ -421,7 +423,7 @@ def _inverse_norms(L, uh):
     return tr, xn
 
 
-def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
+def evaluate_statistic(spec, y0, s, K, scm=None, R=None):
     """One trial's statistic for a DetectorSpec: the trial engine's
     Plan.coefficients on a block of one trial.
 
@@ -440,7 +442,7 @@ def evaluate_statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     if kind.loading != "none" and scm is None:
         raise ConfigError(f"detector {spec.kind!r} needs a sample covariance")
 
-    plan = Plan([spec], s, K, R, opt_config)
+    plan = Plan([spec], s, K, R)
     N = plan.N
     y0 = np.asarray(y0)[None]
     if y0.shape != (1, N):

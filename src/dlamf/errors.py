@@ -9,6 +9,13 @@ them to exit codes 2 and 3.
 import numpy as np
 
 
+# the cause a numerical check names when the covariance's scale leaves the
+# range in which its squares are normal doubles
+OUT_OF_RANGE = "the powers are out of floating-point range"
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+_SQRT_MAX = np.sqrt(np.finfo(float).max)
+
+
 class ConfigError(ValueError):
     """Invalid configuration or out-of-domain argument."""
 
@@ -27,3 +34,9 @@ def require_finite(values, what, why, nonzero=False):
         kinds = "NaN, infinite or zero" if nonzero else "NaN or infinite"
         raise NumericalError(f"{np.count_nonzero(bad)} of {np.size(values)} "
                              f"{what} are {kinds}; {why}")
+
+
+def out_of_range(scale):
+    """Whether a covariance of this scale (its largest eigenvalue or
+    diagonal entry) squares to a subnormal number or overflows."""
+    return not _SQRT_TINY <= scale <= _SQRT_MAX

@@ -26,14 +26,13 @@ monotone equations with rmt's safeguarded Newton row solver.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dstev, zhetrd, zhetrd_lwork, zunmqr
 
 from . import blas
-from .errors import ConfigError, NumericalError
+from .errors import OUT_OF_RANGE, ConfigError, NumericalError, out_of_range
 from .rmt import _loadings, _newton_rows, _shaped
 from .scenario import EIG_FLOOR_REL, steering_entries
 
@@ -245,10 +244,16 @@ def el_log_g(eigenvalues, lam):
 
 def log_zeta_median(N, K):
     """Median of the log EL statistic of an unloaded, well-specified model:
-    -N - (K-N) log(1 - N/K)."""
+    -N - (K-N) log(1 - c) = -K [c + (1-c) log(1-c)] < 0, c = N/K."""
     if K <= N:
         raise ConfigError(f"need K > N, got N={N} K={K}")
-    return -N - (K - N) * math.log(1.0 - N / K)
+    c = N / K
+    if c < 0.1:
+        # the closed form cancels to ~2 eps / c^2 relative (+2.5e-11 for
+        # -5.0e-9 at N=1, K=1e8); the series -N c sum_k c^k / ((k+2)(k+1))
+        # has positive terms, and 16 of them reach eps at c = 0.1
+        return -N * c * sum(c ** k / ((k + 2) * (k + 1)) for k in range(16))
+    return -N - (K - N) * math.log(1.0 - c)
 
 
 def log_el_statistic(scm, reference):
@@ -268,20 +273,15 @@ def log_el_statistic(scm, reference):
 
 def _el_rows(l, log_zeta):
     """EL loading of each row of eigenvalues l (B, N): the root of
-    log g(lam) = log_zeta, g strictly decreasing with g(0) = 1.
+    log g(lam) = log_zeta < 0 (log_zeta_median), g strictly decreasing
+    with g(0) = 1, so every row has a positive root.
 
-    If the median were ever >= g(0) (log_zeta >= 0, one check for all rows)
-    the rule is vacuous: every row gets 0, with a warning. Otherwise each
-    row's bracket [0, hi] doubles hi from max l until log g(hi) is at most
-    log_zeta, and safeguarded Newton steps find the root from
+    Each row's bracket [0, hi] doubles hi from max l until log g(hi) is at
+    most log_zeta, and safeguarded Newton steps find the root from
     sqrt(-2 log_zeta / sum_i l_i^-2), which lies below it because each
     term of log g is at least -(lam/l_i)^2 / 2.
     """
     B = l.shape[0]
-    if log_zeta >= 0.0:
-        warnings.warn("EL median >= g(0); no positive root, using lam = 0",
-                      RuntimeWarning, stacklevel=3)
-        return np.zeros(B)
     hi = l.max(1)
     for _ in range(200):
         up = _log_g_rows(l, hi) - log_zeta > 0.0
@@ -297,10 +297,13 @@ def _el_rows(l, log_zeta):
         slope = (lam[:, None] / (l + lam[:, None]) ** 2).sum(1)
         return log_zeta - _log_g_rows(l, lam), slope
 
+    def stalled(j, r):
+        if out_of_range(l[j, -1]):
+            return f"EL solve stalled: {OUT_OF_RANGE}"
+        return f"EL solve stalled at defect {r:.3e}"
+
     start = np.sqrt(-2.0 * log_zeta / (1.0 / (l * l)).sum(1))
-    return _newton_rows(excess, start, np.zeros(B), hi, _EL_FTOL,
-                        lambda j, r: f"EL solve stalled at defect {r:.3e}",
-                        l)
+    return _newton_rows(excess, start, np.zeros(B), hi, _EL_FTOL, stalled, l)
 
 
 def el_lambda(scm, K):

@@ -50,7 +50,7 @@ import numpy as np
 from . import blas, detectors
 from .detectors import NP, DetectorSpec
 from .errors import ConfigError, NumericalError, require_finite
-from .optimizer import OptConfig, lambda_opt
+from .optimizer import lambda_opt
 from .results import Curve, Histogram
 from .scenario import philox_key
 
@@ -99,7 +99,8 @@ def ks_distance(samples, cdf):
 @dataclass
 class TrialConfig:
     """One Monte Carlo run: scenario, detector(s), budget and seed; an
-    Engine schedules it. A run of one DetectorSpec takes and returns bare
+    Engine schedules it, and its loading searches run at
+    optimizer.OptConfig(). A run of one DetectorSpec takes and returns bare
     values, a run of several {label: value} (by_label, unwrap)."""
 
     scenario: object
@@ -107,7 +108,6 @@ class TrialConfig:
     trials: int
     master_seed: int = 0
     pfa_pre: float = 1e-3
-    opt_config: OptConfig | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -143,9 +143,9 @@ class _BatchPlan(detectors.Plan):
     """A detectors.Plan of the scenario's true covariance, plus what
     drawing a chunk needs; built once per run."""
 
-    def __init__(self, scenario, specs, opt_config=None):
+    def __init__(self, scenario, specs):
         R = scenario.covariance()
-        super().__init__(specs, scenario.steering, scenario.K, R, opt_config,
+        super().__init__(specs, scenario.steering, scenario.K, R,
                          design=lambda_opt)
         self.sqrtR = R.sqrt_matrix()
         self.block = max(1, min(_BLOCK, _BLOCK_BYTES
@@ -285,12 +285,11 @@ class Engine:
 
 
 def h0_statistics(scenario, specs, trials, master_seed, stream=0, workers=1,
-                  opt_config=None, engine=None):
+                  engine=None):
     """Null-hypothesis statistics for each detector, {label: array}; workers
     is shorthand for engine=Engine(workers)."""
-    cfg = TrialConfig(scenario, list(specs), trials, master_seed,
-                      opt_config=opt_config)
-    plan = _BatchPlan(scenario, cfg.spec_list(), opt_config)
+    cfg = TrialConfig(scenario, list(specs), trials, master_seed)
+    plan = _BatchPlan(scenario, cfg.spec_list())
     coeffs, _ = (engine or Engine(workers)).run(plan, master_seed, stream,
                                                  trials)
     return {label: detectors.statistic(c) for label, c in coeffs.items()}
@@ -351,8 +350,7 @@ def calibrate_threshold(cfg, stream=0, engine=None):
     ThresholdResult when cfg.detector is one spec.
     """
     stats = h0_statistics(cfg.scenario, cfg.spec_list(), cfg.trials,
-                          cfg.master_seed, stream=stream,
-                          opt_config=cfg.opt_config, engine=engine)
+                          cfg.master_seed, stream=stream, engine=engine)
     return cfg.unwrap({label: threshold_from_stats(x, cfg.pfa_pre)
                        for label, x in stats.items()})
 
@@ -394,7 +392,7 @@ def pd_evaluator(cfg, stream=1, plan=None, engine=None):
     when a caller reuses it across passes.
     """
     if plan is None:
-        plan = _BatchPlan(cfg.scenario, cfg.spec_list(), cfg.opt_config)
+        plan = _BatchPlan(cfg.scenario, cfg.spec_list())
     coeffs, amp = (engine or Engine()).run(plan, cfg.master_seed, stream,
                                            cfg.trials)
     return PdEvaluator(coeffs, amp, plan.q, cfg.trials)
@@ -429,7 +427,7 @@ def pd_vs_scnr_sweep(cfg, tau, scnr_db_grid, target_model, stream_base=1,
     # (pd, ci_lo, ci_hi) per model and label
     pds = {(t, sp.label): np.empty((3, grid.shape[0]))
            for t in models for sp in specs}
-    plan = _BatchPlan(cfg.scenario, specs, cfg.opt_config)
+    plan = _BatchPlan(cfg.scenario, specs)
     for i, db in enumerate(grid):
         ev = pd_evaluator(cfg, stream_base + i, plan, engine)
         for (t, lbl), out in pds.items():
@@ -487,7 +485,7 @@ def scnr_at_pd(cfg, tau, pd_target, target_model, stream=1,
 def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
                          pd_trials, master_seed, pd_target=0.5,
                          target_models=("swerling0", "swerling1"),
-                         opt_config=None, engine=None):
+                         engine=None):
     """SCNR loss of each detector against the clairvoyant filter.
 
     One h0 pass calibrates every threshold, one coefficient pass serves all
@@ -499,7 +497,7 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
     if not any(sp.kind == NP for sp in specs):
         specs = [DetectorSpec(NP)] + specs
     cal_cfg = TrialConfig(scenario, specs, threshold_trials, master_seed,
-                          pfa_pre, opt_config)
+                          pfa_pre)
     pd_cfg = replace(cal_cfg, trials=pd_trials)
     taus = calibrate_threshold(cal_cfg, engine=engine)
     ev = pd_evaluator(pd_cfg, stream=1, engine=engine)
@@ -523,8 +521,7 @@ def detection_loss_table(scenario, specs, pfa_pre, threshold_trials,
 def empirical_pdf(cfg, bins=80, value_range=None, stream=0, engine=None):
     """Histogram of each detector's h0 statistic, {label: Histogram}."""
     stats = h0_statistics(cfg.scenario, cfg.spec_list(), cfg.trials,
-                          cfg.master_seed, stream=stream,
-                          opt_config=cfg.opt_config, engine=engine)
+                          cfg.master_seed, stream=stream, engine=engine)
     out = {}
     for label, x in stats.items():
         dens, edges = np.histogram(x, bins=bins, range=value_range,

@@ -32,6 +32,9 @@ from .scenario import as_spectrum
 # of its grid bracket
 _SEARCH_POINTS = 12
 _SEARCH_PASSES = 20
+# the grid of every search and curve: lam = 0, then _GRID_POINTS loadings
+# log-spaced from 1e-3 to lambda_max
+_GRID_POINTS = 200
 # loadings per objective call while a grid is evaluated: B rows take
 # _GRID_CELLS // B columns at a time, so a call's temporaries stay a few MiB
 _GRID_CELLS = 4096
@@ -49,7 +52,6 @@ _UNRANKED = "the loading search cannot rank them"
 @dataclass(frozen=True)
 class OptConfig:
     lambda_max: float | None = None   # default 100 * mean eigenvalue
-    grid_points: int = 200
     tol: float = 1e-4                 # relative, on the bracket width
 
     def __post_init__(self):
@@ -57,8 +59,6 @@ class OptConfig:
                 math.isfinite(self.lambda_max) and self.lambda_max > 0):
             raise ConfigError(
                 f"lambda_max must be finite and > 0, got {self.lambda_max}")
-        if self.grid_points < 2:
-            raise ConfigError("grid needs at least 2 points")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
 
@@ -80,34 +80,35 @@ class OptResult:
 
 
 def _log_grid(cfg, eigenvalues):
-    """np.logspace(-3, log10(lambda_max), grid_points) for one spectrum, or
-    one such row per row of a 2-D array of spectra."""
+    """0 followed by np.logspace(-3, log10(lambda_max), _GRID_POINTS) for
+    one spectrum, or one such row per row of a 2-D array of spectra."""
     tops = np.broadcast_to(cfg.resolved_max(eigenvalues),
                            np.shape(eigenvalues)[:-1])
-    grid = np.logspace(-3.0, [math.log10(t) for t in tops.flat],
-                       cfg.grid_points, axis=-1)
-    return grid.reshape(tops.shape + (cfg.grid_points,))
+    grid = np.zeros(tops.shape + (_GRID_POINTS + 1,))
+    grid[..., 1:] = np.logspace(
+        -3.0, [math.log10(t) for t in tops.flat], _GRID_POINTS,
+        axis=-1).reshape(tops.shape + (_GRID_POINTS,))
+    return grid
 
 
 def search_rows(objective, eigenvalues, config=None):
     """Grid-then-subgrid maximization on every row of eigenvalues (B, N).
 
-    Row b searches [0, lambda_max_b] on the grid 0 followed by
-    np.logspace(-3, log10(lambda_max_b), grid_points), then refines the
-    bracket of its first grid maximum: each pass evaluates the
-    _SEARCH_POINTS evenly spaced interior points of every row's bracket
-    and shrinks it to the two subcells around the row's best new point
-    (the first on ties), until b - a <= tol * b. objective(lams) takes a
-    (B, m) array of loadings and returns their values (that shape, or one
-    value broadcast to it). Each row's result depends on its own values
-    alone. Returns the rows lambda_star (the best loading evaluated, the
-    earlier one on ties), objective value, evaluations (grid points plus
-    _SEARCH_POINTS per pass), final bracket ends and converged, or raises
-    NumericalError when a grid value or a pass's best value is NaN or
-    infinite. A flat row (no grid point improves on lam = 0 beyond
-    rounding) gets lambda_star = 0 with converged = False; a row whose
-    bracket is still wider than tol after _SEARCH_PASSES passes gets
-    converged = False.
+    Row b searches [0, lambda_max_b] on its _log_grid row (0, then
+    _GRID_POINTS log-spaced loadings), then refines the bracket of its
+    first grid maximum: each pass evaluates the _SEARCH_POINTS evenly
+    spaced interior points of every row's bracket and shrinks it to the
+    two subcells around the row's best new point (the first on ties),
+    until b - a <= tol * b. objective(lams) takes a (B, m) array of
+    loadings and returns their values (that shape, or one value broadcast
+    to it). Each row's result depends on its own values alone. Returns the
+    rows lambda_star (the best loading evaluated, the earlier one on ties),
+    objective value, evaluations (grid points plus _SEARCH_POINTS per
+    pass), final bracket ends and converged, or raises NumericalError when
+    a grid value or a pass's best value is NaN or infinite. A flat row (no
+    grid point improves on lam = 0 beyond rounding) gets lambda_star = 0
+    with converged = False; a row whose bracket is still wider than tol
+    after _SEARCH_PASSES passes gets converged = False.
     """
     cfg = config or OptConfig()
 
@@ -115,9 +116,8 @@ def search_rows(objective, eigenvalues, config=None):
         v = np.asarray(objective(lams), dtype=float)
         return v if v.shape == lams.shape else np.broadcast_to(v, lams.shape)
 
-    B, P = eigenvalues.shape[0], cfg.grid_points
-    grid = np.zeros((B, P + 1))
-    grid[:, 1:] = _log_grid(cfg, eigenvalues)
+    B, P = eigenvalues.shape[0], _GRID_POINTS
+    grid = _log_grid(cfg, eigenvalues)
     rows = np.arange(B)
     cols = max(1, _GRID_CELLS // B)
     vals = np.concatenate([f(grid[:, j:j + cols])
@@ -202,8 +202,7 @@ def kappa_lambda_curve(R, s, K, lambda_grid=None, config=None):
     """
     R = as_spectrum(R)
     if lambda_grid is None:
-        lambda_grid = np.concatenate(
-            ([0.0], _log_grid(config or OptConfig(), R.eigenvalues)))
+        lambda_grid = _log_grid(config or OptConfig(), R.eigenvalues)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     kap, klo = rmt._kappas(R, s, lambda_grid, K)
     N = R.dim
@@ -226,7 +225,7 @@ def kappa_crossing(R, s, K, level=None, config=None):
         level = 1.0 - R.dim / K
     elif not math.isfinite(level):
         raise ConfigError(f"crossing level must be finite, got {level}")
-    grid = _log_grid(config or OptConfig(), R.eigenvalues)
+    grid = _log_grid(config or OptConfig(), R.eigenvalues)[1:]
     vals = rmt.kappa(R, s, grid, K) - level
     best = int(np.argmax(vals))
     below = np.nonzero(vals[best:] < 0.0)[0]

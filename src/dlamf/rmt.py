@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, require_finite
+from .errors import OUT_OF_RANGE, ConfigError, NumericalError, require_finite
 from .scenario import as_spectrum, steering_entries
 
 _RESIDUAL_TOL = 1e-12
@@ -201,7 +201,7 @@ def deterministic_equivalents(R, s, lam, K):
         omc = 1.0 - N / K
         psi[zero], xi[zero] = q / omc, q / omc ** 2
         gamma[zero], mu0[zero] = N / K, q / omc ** 3
-    why = "the loading or the powers are out of floating-point range"
+    why = f"the loading or {OUT_OF_RANGE}"
     require_finite(mu0, "mu0", why, nonzero=True)
     require_finite((psi, xi, gamma), "psi, xi and gamma values", why)
     return AsymptoticParams(

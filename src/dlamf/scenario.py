@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Relative floor for eigenvalue clamping and the conditioning diagnostic.
+# Relative floor for eigenvalue clamping: a clamped spectrum has condition
+# number at most 1 / EIG_FLOOR_REL.
 EIG_FLOOR_REL = 1e-12
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +55,9 @@ class HermitianSpectrum:
     """A Hermitian positive definite matrix with its eigendecomposition.
 
     Eigenvalues below EIG_FLOOR_REL times the largest are clamped to that
-    floor (with a warning); a condition number beyond COND_LIMIT raises a
-    diagnostic warning but does not fail, since downstream quadratic forms
-    are still well defined after clamping.
+    floor, with one warning; the clamped spectrum's condition number is then
+    at most 1 / EIG_FLOOR_REL, and downstream quadratic forms are well
+    defined.
     """
 
     def __init__(self, matrix, eigenvalues, eigenvectors):
@@ -84,11 +84,6 @@ class HermitianSpectrum:
                 f"{label}: clamped {int(np.sum(vals < floor))} eigenvalue(s) "
                 f"below {floor:.3e}", RuntimeWarning, stacklevel=2)
             vals = np.maximum(vals, floor)
-        if top / vals[0] > COND_LIMIT:
-            warnings.warn(
-                f"{label}: condition number {top / vals[0]:.3e} exceeds "
-                f"{COND_LIMIT:.0e}; results may be dominated by rounding",
-                RuntimeWarning, stacklevel=2)
         return cls(A, vals, vecs)
 
     @property

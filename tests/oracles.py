@@ -220,7 +220,7 @@ def stat_persymmetric_amf(scm, s, y0):
     return stat_amf(HermitianSpectrum.from_matrix(persymmetrize(A)), s, y0)
 
 
-def statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
+def statistic(spec, y0, s, K, scm=None, R=None):
     """Reference statistic of a DetectorSpec on one trial. The el kinds
     find their loading by their own root finder; the opt kinds take theirs
     from the package's optimizer, which test_optimizer checks."""
@@ -236,9 +236,9 @@ def statistic(spec, y0, s, K, scm=None, R=None, opt_config=None):
     if kind in ("el-amf", "cfar-el-amf"):
         lam = el_lambda(scm, K)
     elif kind == "opt-cfar-dl-scmf":
-        lam = optimizer.lambda_opt(R, s, K, opt_config).lambda_star
+        lam = optimizer.lambda_opt(R, s, K).lambda_star
     elif kind == "opt-cfar-dl-amf":
-        lam = optimizer.lambda_opt_hat(scm, s, K, opt_config).lambda_star
+        lam = optimizer.lambda_opt_hat(scm, s, K).lambda_star
     if kind == "el-amf":
         return stat_dl_family(scm, s, y0, lam)
     if kind in ("cfar-dl-scmf", "opt-cfar-dl-scmf"):

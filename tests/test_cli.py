@@ -137,19 +137,16 @@ class TestThreshold:
         assert rc == 2
         assert _stderr_json(capsys)["kind"] == "config"
 
-    @pytest.mark.parametrize("flags,word", [
-        (["--lambda-max", "-1"], "lambda_max"),
-        (["--grid-points", "1"], "grid"),
-        (["--tol", "0"], "tol"),
-        (["--tol", "nan"], "tol")])
-    def test_invalid_opt_config(self, tmp_path, capsys, flags, word):
-        # the search settings are checked before any trial runs
+    def test_search_settings_are_not_flags(self, tmp_path, capsys):
+        # the loading search's settings belong to dlamf.optimizer alone
         rc = cli.main(["threshold", "--config", TOEPLITZ,
                        "--detector", "opt-cfar-dl-amf", "--trials", "100",
-                       "--out", str(tmp_path)] + flags)
+                       "--out", str(tmp_path), "--tol", "1e-6"])
         assert rc == 2
-        msg = _stderr_json(capsys)
-        assert msg["kind"] == "config" and word in msg["error"]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        msg = json.loads(err[0])
+        assert msg["kind"] == "usage" and "--tol" in msg["error"]
 
 
 class TestPdSweep:

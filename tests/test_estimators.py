@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,12 +159,17 @@ class TestExpectedLikelihood:
         assert estimators.el_log_g(spec.eigenvalues, lam) == pytest.approx(
             target, abs=1e-9)
 
-    def test_el_root_vacuous(self):
-        # a median at or above g(0) = 1 leaves no positive root: every row
-        # gets lam = 0, with a warning
-        with pytest.warns(RuntimeWarning, match="EL median"):
-            lam = estimators._el_rows(np.ones((3, 8)), 0.1)
-        np.testing.assert_array_equal(lam, np.zeros(3))
+    def test_median_against_mpmath(self):
+        # -K [c + (1-c) log(1-c)] at N = 1 and K from 2 to 1e12, where
+        # the closed form alone cancels (+2.5e-11 for -5e-9 at K = 1e8)
+        with mp.workdps(50):
+            for K in np.unique(np.round(np.logspace(math.log10(2), 12, 67))):
+                K = int(K)
+                c = mp.mpf(1) / K
+                ref = -K * (c + (1 - c) * mp.log(1 - c))
+                got = estimators.log_zeta_median(1, K)
+                assert got < 0.0
+                assert abs(got - ref) <= 1e-12 * abs(ref), K
 
     @pytest.mark.parametrize("scale", [1e-12, 1e12])
     def test_el_edge_scales(self, scale):

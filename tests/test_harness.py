@@ -18,7 +18,7 @@ from dlamf import (blas, cli, detectors, estimators, harness, optimizer,
 from dlamf.detectors import DetectorSpec
 from dlamf.errors import ConfigError, NumericalError
 from dlamf.estimators import _loaded_rows, _spectral_rows
-from dlamf.optimizer import OptConfig, lambda_opt
+from dlamf.optimizer import lambda_opt
 from dlamf.harness import (TrialConfig, _BatchPlan, _eval_chunk, _generate,
                            _Workspace, calibrate_threshold,
                            detection_loss_table, empirical_pdf, estimate_pd,
@@ -100,23 +100,15 @@ class TestTrialConfig:
                           master_seed=seed)
 
     def test_type_hints_resolve(self):
-        assert typing.get_type_hints(TrialConfig)["opt_config"] == \
-            OptConfig | None
+        assert typing.get_type_hints(TrialConfig) == {
+            "scenario": object, "detector": object, "trials": int,
+            "master_seed": int, "pfa_pre": float}
 
     def test_spec_list_forms(self, scen_n24_k48):
         one = DetectorSpec("np")
         assert TrialConfig(scen_n24_k48, one, trials=5).spec_list() == [one]
         two = [one, DetectorSpec("scm-amf")]
         assert TrialConfig(scen_n24_k48, two, trials=5).spec_list() == two
-
-    @pytest.mark.parametrize("bad", [{"lambda_max": -1.0},
-                                     {"grid_points": 1}])
-    def test_invalid_opt_config_rejected(self, bad):
-        # the engine and evaluate_statistic reject the same search settings
-        with pytest.raises(ConfigError):
-            h0_statistics(toeplitz_scenario(8, 16),
-                          [DetectorSpec("opt-cfar-dl-amf")], 8,
-                          master_seed=0, opt_config=OptConfig(**bad))
 
     def test_duplicate_labels_rejected(self, scen_n24_k48):
         specs = [DetectorSpec("dl-amf", lam=1.5),
@@ -368,6 +360,25 @@ class TestSingularScm:
                         optimizer.lambda_opt_hat(S, scen.steering,
                                                  scen.K).lambda_star):
                 assert math.isfinite(lam) and lam >= 0.0
+
+
+class TestOutOfRangePowers:
+    # every power x1e-300: the SCM is positive definite, but the Cholesky
+    # border and the EL sums leave the double range; both paths say so
+    @pytest.mark.parametrize("kind", ["scm-amf", "persym-amf", "el-amf",
+                                      "cfar-el-amf"])
+    def test_names_the_cause(self, kind):
+        scen = toeplitz_scenario(24, 48, clutter_power=1e-299, noise=1e-300)
+        spec = DetectorSpec(kind)
+        ds = sample_dataset(scen, Swerling0(), "h0", trial_rng(0, 0, 0))
+        with pytest.raises(NumericalError) as batch:
+            h0_statistics(scen, [spec], 16, master_seed=0)
+        with pytest.raises(NumericalError) as one:
+            detectors.evaluate_statistic(spec, ds.y0, scen.steering, scen.K,
+                                         scm=scm(ds))
+        assert str(batch.value) == str(one.value)
+        assert str(one.value).endswith(
+            ": the powers are out of floating-point range")
 
 
 class TestOneReduction:

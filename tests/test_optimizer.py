@@ -85,10 +85,12 @@ class TestOptConfig:
         with pytest.raises(ConfigError):
             OptConfig(lambda_max=-1.0).resolved_max(np.ones(3))
 
-    def test_grid_validation(self):
-        with pytest.raises(ConfigError):
-            optimizer.maximize_over_lambda(lambda t: t, np.ones(3),
-                                           OptConfig(grid_points=1))
+    @pytest.mark.parametrize("bad", [{"lambda_max": -1.0}, {"tol": 0.0},
+                                     {"tol": math.nan}],
+                             ids=["lambda_max", "tol-0", "tol-nan"])
+    def test_invalid_settings(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            OptConfig(**bad)
 
 
 class TestMaximize:

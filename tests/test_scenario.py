@@ -80,6 +80,21 @@ class TestCovariance:
             spec = HermitianSpectrum.from_matrix(R)
         assert spec.eigenvalues.min() > 0
 
+    def test_clamp_warns_once(self):
+        # rank-3 clutter plus white noise far below the floor: one clamp
+        # warning and no other, since a clamped spectrum's condition number
+        # is 1 / EIG_FLOOR_REL up to rounding (above it for 19 of these 82)
+        for p in np.linspace(1.0, 3.0, 41):
+            for noise in (1e-13, 1e-15):
+                scen = Scenario(N=24, K=48, steering_deg=0.0,
+                                clutter=LowRankClutter((0, 10, 40), (p,) * 3),
+                                noise_power=noise)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    scen.covariance()
+                assert len(caught) == 1, (p, noise)
+                assert "clamped 21 eigenvalue(s)" in str(caught[0].message)
+
 
 class TestSpectrum:
     def test_inverse_quadratic_matches_dense(self):
